@@ -13,15 +13,21 @@ energy into the perspective f * P(T/f) of a convex power curve, so the
 fixed-split problem is convex and separable across states: every state's
 rate is the stationary point of its power curve at a common multiplier,
 clamped at zero, and the multiplier is found by bisection on the average
-rate. The scalar time split is then minimized by golden-section search
-with a derivative polish (the envelope theorem gives the exact reduced
-derivative from the per-state terms).
+rate. The scalar time split is the sign change of the reduced
+derivative, which the envelope theorem gives exactly from the per-state
+terms; Illinois false position finds it (`_search_split`).
 
 One wrinkle is handled beyond the plain water-filling map: a silent state
 consumes no power, but the PNC power curve does not vanish at zero rate
 (the 1/2 SNR offset), so states whose stationary point sits barely above
 the clamp can be cheaper to leave silent with their rate carried by the
-others. See `_solve_uplink`.
+others. All states carry equal weight and a PNC state at rate r costs
+(2^r - 1/2) c, with c = 1/g1r + 1/g2r, so moving a silent state's rate onto
+an active PNC state with a smaller c never costs more. The silent sets
+worth trying are therefore the prefixes of the PNC states sorted by c,
+largest first, and that order does not depend on the multiplier. The
+silent prefix is chosen outside the split search, which is convex once the
+prefix is fixed (`_optimize_split`).
 
 Everything here is deterministic: fixed-order numpy reductions, fixed
 iteration schedules, no RNG. All inputs are treated as immutable.
@@ -29,7 +35,6 @@ iteration schedules, no RNG. All inputs are treated as immutable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -141,10 +146,11 @@ class SolverOptions:
     """Tolerances and switches of the allocation solver.
 
     rate_rtol: relative tolerance of the dual bisections on the average rate.
-    f_tol: golden-section bracket width on the uplink fraction.
+    f_tol: split-search bracket width on the uplink fraction, below which
+        one last false-position step ends the search.
     f_lo, f_hi: search interval for the uplink fraction.
     max_bisect_iter: dual bisection iteration cap (exceeded means error).
-    refine_uplink: exact treatment of near-silent PNC states (see module
+    refine_uplink: search the silent prefixes of the PNC states (see module
         docstring); disable to get the plain water-filling map only.
     """
 
@@ -352,16 +358,16 @@ def _downlink_power_slope(arr: _Arrays, rates):
     return LN2 * np.exp2(rates) / arr.g_rm
 
 
-def _bisect_multiplier(mean_rate: Callable[[float], float], target: float,
-                       rtol: float, max_iter: int,
-                       hint: float | None = None) -> float:
+def _solve_multiplier(mean_rate: Callable[[float], float], mean_slope: Callable[[float], float],
+                      target: float, opts: SolverOptions, hint: float | None = None) -> float:
     """Solve mean_rate(beta) = target for beta >= 0 by bracketing bisection.
 
     The map is continuous and nondecreasing, zero at beta = 0 and unbounded,
     so a finite positive target always brackets. A hint (typically the
     multiplier of a neighbouring solve) seeds the bracket; a wrong hint only
     costs a couple of probes. Both the expansion and the bisection carry
-    iteration caps that raise RuntimeError when exceeded.
+    iteration caps that raise RuntimeError when exceeded. The accepted
+    multiplier is sharpened by `_newton_multiplier`.
     """
     if target <= 0.0:
         return 0.0
@@ -383,11 +389,11 @@ def _bisect_multiplier(mean_rate: Callable[[float], float], target: float,
             raise RuntimeError("multiplier bracket expansion failed: rate target unreachable")
     else:
         raise RuntimeError("multiplier bracket expansion failed: rate target unreachable")
-    for _ in range(max_iter):
+    for _ in range(opts.max_bisect_iter):
         mid = 0.5 * (lo + hi)
         val = mean_rate(mid)
-        if abs(val - target) <= rtol * target:
-            return mid
+        if abs(val - target) <= opts.rate_rtol * target:
+            return _newton_multiplier(mid, target, mean_rate, mean_slope)
         if val < target:
             lo = mid
         else:
@@ -395,293 +401,174 @@ def _bisect_multiplier(mean_rate: Callable[[float], float], target: float,
     raise RuntimeError("dual bisection did not reach tolerance within the iteration cap")
 
 
-def _solve_uplink(arr: _Arrays, target: float, opts: SolverOptions,
-                  warm: dict | None = None, fixed_allowed=None):
-    """Uplink multiplier, rates, and mean power meeting the average-rate target.
+def _solve_uplink(arr: _Arrays, target: float, opts: SolverOptions, allowed, hint):
+    """Uplink multiplier, rates, and powers meeting the average-rate target.
 
-    Returns (mean_power, beta1, rates). The base solve clamps every state at
-    its stationary point. Because a silent state costs nothing while the PNC
-    power curve starts at half the inverse-gain sum, any PNC state whose
-    stationary point falls below x* = 2.1555... is a candidate for full
-    silencing with the load reassigned through a larger multiplier.
-
-    The candidates order themselves by their fixed power scale (the
-    stationary point is beta over ln2 times the inverse-gain sum, so the
-    x-order never changes with beta), and silencing states only pushes the
-    multiplier up. The useful silent sets are therefore nested prefixes of
-    the x-ascending candidate list, and self-consistency — the next
-    unsilenced candidate must sit at or above x* — is monotone in the
-    prefix length, so a binary search plus a small window around the
-    crossing finds the best prefix. Tiny problems are still enumerated
-    exhaustively over all candidate subsets, which keeps the small-instance
-    behaviour exact.
+    States outside `allowed` (None means every state) stay silent; the rest
+    follow the clamped stationary map. Raises RuntimeError when the
+    multiplier cannot be bracketed or a power overflows float64.
     """
-    hint0 = warm.get("b1") if warm else None
-
-    def profile(allowed, hint=None):
-        beta = _bisect_multiplier(
-            lambda b: _mean_uplink_rate(arr, b, allowed), target,
-            opts.rate_rtol, opts.max_bisect_iter, hint)
-        beta = _newton_multiplier(beta, target,
-                                  lambda b: _mean_uplink_rate(arr, b, allowed),
-                                  lambda b: _mean_uplink_slope(arr, b, allowed))
-        rates = _uplink_rates(arr, beta, allowed)
-        power = float(np.mean(_uplink_powers(arr, rates)))
-        return power, beta, rates
-
-    if fixed_allowed is not None:
-        best = profile(fixed_allowed, hint0)
-        if warm is not None:
-            warm["b1"] = best[1]
-        return best
-
-    best = profile(None, hint0)
-    base = best
-    refine = opts.refine_uplink and arr.any_pnc
-    if refine:
-        x = _uplink_x(arr, base[1])
-        if bool(np.any(arr.is_pnc & (x > 1.0) & (x < _SILENCE_X))):
-            cand = np.flatnonzero(arr.is_pnc & (x < _SILENCE_X))
-            cand = cand[np.argsort(x[cand], kind="stable")]
-            if arr.n <= 8:
-                best = _refine_exhaustive(arr, cand, best, profile)
-            else:
-                best = _refine_nested(arr, cand, base, best, profile)
-    if warm is not None:
-        warm["b1"] = best[1]
-    return best
+    beta = _solve_multiplier(lambda b: _mean_uplink_rate(arr, b, allowed),
+                             lambda b: _mean_uplink_slope(arr, b, allowed), target, opts, hint)
+    rates = _uplink_rates(arr, beta, allowed)
+    return beta, rates, _finite_powers(_uplink_powers, arr, rates)
 
 
-def _refine_exhaustive(arr: _Arrays, cand, best, profile):
-    for k in range(1, cand.size + 1):
-        for combo in itertools.combinations(cand.tolist(), k):
-            allowed = np.ones(arr.n, dtype=bool)
-            allowed[list(combo)] = False
-            if not allowed.any():
-                continue
-            try:
-                trial = profile(allowed)
-            except RuntimeError:
-                continue
-            if trial[0] < best[0]:
-                best = trial
-    return best
+def _solve_downlink(arr: _Arrays, target: float, opts: SolverOptions, hint):
+    """Downlink counterpart of `_solve_uplink`, with every state allowed."""
+    beta = _solve_multiplier(lambda b: _mean_downlink_rate(arr, b),
+                             lambda b: _mean_downlink_slope(arr, b), target, opts, hint)
+    rates = _downlink_rates(arr, beta)
+    return beta, rates, _finite_powers(_downlink_powers, arr, rates)
 
 
-def _refine_nested(arr: _Arrays, cand, base, best, profile):
-    big = cand.size
-    inv = arr.inv_ln2_sum[cand]
-    solved: dict[int, tuple | None] = {0: base}
-
-    def chain(k):
-        if k not in solved:
-            allowed = np.ones(arr.n, dtype=bool)
-            allowed[cand[:k]] = False
-            if not allowed.any():
-                solved[k] = None
-            else:
-                try:
-                    solved[k] = profile(allowed, base[1])
-                except RuntimeError:
-                    solved[k] = None
-        return solved[k]
-
-    def settled(k):
-        # prefix k is long enough once the next candidate's stationary
-        # point has been pushed past the silence threshold
-        e = chain(k)
-        if e is None or k == big:
-            return True
-        return e[1] * inv[k] >= _SILENCE_X
-
-    if settled(0):
-        k_star = 0
-    else:
-        lo, hi = 0, big
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if settled(mid):
-                hi = mid
-            else:
-                lo = mid
-        k_star = hi
-    for k in range(max(0, k_star - 2), min(big, k_star + 2) + 1):
-        e = chain(k)
-        if e is not None and e[0] < best[0]:
-            best = e
-    return best
+def _finite_powers(powers, arr: _Arrays, rates):
+    """powers(arr, rates), raising RuntimeError where one overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = powers(arr, rates)
+    if not np.isfinite(p).all():
+        raise RuntimeError("transmit power overflows float64")
+    return p
 
 
 _SplitEval = namedtuple(
     "_SplitEval",
-    "f_u energy beta1 beta2 rates_u rates_d mean_pu mean_pd mean_dup mean_ddn",
+    "f_u energy beta1 beta2 rates_u rates_d powers_u powers_d mean_dup mean_ddn",
 )
 
 
 def _evaluate_split(arr: _Arrays, lam: float, f_u: float, opts: SolverOptions,
-                    warm: dict | None = None, fixed_allowed=None) -> _SplitEval:
-    """Solve both phases at a fixed split and collect energy and derivatives."""
+                    allowed, warm: dict):
+    """Solve both phases at a fixed split: (envelope derivative, evaluation).
+
+    The derivative of the reduced objective in f_u is mean_dup - mean_ddn.
+    A phase that overflows gives no evaluation and an infinite derivative
+    pointing away from it: an uplink overflow means f_u is too small (every
+    smaller f_u overflows too), a downlink overflow means it is too large.
+    """
     f_d = 1.0 - f_u
-    mean_pu, beta1, r_u = _solve_uplink(arr, lam / f_u, opts, warm, fixed_allowed)
-    beta2 = _bisect_multiplier(
-        lambda b: _mean_downlink_rate(arr, b), lam / f_d,
-        opts.rate_rtol, opts.max_bisect_iter,
-        warm.get("b2") if warm else None)
-    beta2 = _newton_multiplier(beta2, lam / f_d,
-                               lambda b: _mean_downlink_rate(arr, b),
-                               lambda b: _mean_downlink_slope(arr, b))
-    if warm is not None:
-        warm["b2"] = beta2
-    r_d = _downlink_rates(arr, beta2)
-    p_u = _uplink_powers(arr, r_u)
-    p_d = _downlink_powers(arr, r_d)
+    try:
+        beta1, r_u, p_u = _solve_uplink(arr, lam / f_u, opts, allowed, warm.get("b1"))
+    except RuntimeError:
+        return -math.inf, None
+    try:
+        beta2, r_d, p_d = _solve_downlink(arr, lam / f_d, opts, warm.get("b2"))
+    except RuntimeError:
+        return math.inf, None
+    warm["b1"], warm["b2"] = beta1, beta2
     # d(f * P(T/f))/df = P(rate) - rate * P'(rate); silent states pin it at 0
     dup = np.where(r_u > 0.0, p_u - r_u * _uplink_power_slope(arr, r_u), 0.0)
     ddn = np.where(r_d > 0.0, p_d - r_d * _downlink_power_slope(arr, r_d), 0.0)
-    return _SplitEval(
+    ev = _SplitEval(
         f_u=f_u,
         energy=float(np.mean(f_u * p_u + f_d * p_d)),
         beta1=beta1,
         beta2=beta2,
         rates_u=r_u,
         rates_d=r_d,
-        mean_pu=mean_pu,
-        mean_pd=float(np.mean(p_d)),
+        powers_u=p_u,
+        powers_d=p_d,
         mean_dup=float(np.mean(dup)),
         mean_ddn=float(np.mean(ddn)),
     )
+    return ev.mean_dup - ev.mean_ddn, ev
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _search_split(arr: _Arrays, lam: float, opts: SolverOptions, allowed,
+                  warm: dict) -> _SplitEval | None:
+    """Stationary split for a fixed silent set, by Illinois false position.
 
-
-def _polish_split(ev, ev_fast, a: float, b: float, opts: SolverOptions):
-    """Sharpen the final golden bracket by bisecting the envelope derivative.
-
-    Near the minimum the energy floor is flat at the level of the inner
-    bisection jitter, so the raw-energy argmin can sit several bracket
-    widths off the stationary split. The derivative mean_dup - mean_ddn is
-    monotone wherever the reduced objective is smooth; golden's last
-    bracket does not always straddle its sign change, so the bracket first
-    slides outward (doubling steps) until it does, then sign bisection
-    pins the split to ~1e-13. Once the bracket is tight the silent set no
-    longer moves, so the inner bisections run with it frozen (ev_fast) and
-    only the returned point gets a full evaluation. Returns None when no
-    sign change exists inside [f_lo, f_hi] (boundary minimum or infeasible
-    evals); the caller then falls back to the best raw-energy point.
+    With the silent set fixed the reduced objective is convex in f_u, so
+    its minimizer is the sign change of the envelope derivative d. The
+    bracket starts as [f_lo, f_hi] with d taken as -inf and +inf at its
+    ends, so a boundary minimum is approached to within f_tol. While an end
+    is infinite (never probed, or its phase overflowed) the step bisects;
+    otherwise it is a false-position step, and an end kept twice in a row
+    has its d halved (Illinois). The search stops as soon as |d| < 1e-11,
+    or after one last step inside a bracket narrower than opts.f_tol: both
+    ends of such a bracket can still carry a |d| too large for the KKT
+    check, while a false-position step inside it lands on the sign change.
+    Returns the feasible evaluation with the smallest |d|, or None when no
+    split is feasible.
     """
-    ea, eb = ev(a), ev(b)
-    if ea is None or eb is None:
-        return None
-    lo_f, dlo = a, ea.mean_dup - ea.mean_ddn
-    hi_f, dhi = b, eb.mean_dup - eb.mean_ddn
-    step = max(b - a, opts.f_tol)
-    for _ in range(40):
-        if dlo <= 0.0 <= dhi:
+    lo, hi = opts.f_lo, opts.f_hi
+    d_lo, d_hi = -math.inf, math.inf
+    best, best_d = None, math.inf
+    moved = 0  # which end the last step replaced: -1 lo, +1 hi
+    last = False
+    while not last:
+        last = hi - lo < opts.f_tol
+        f = 0.5 * (lo + hi)
+        if math.isfinite(d_lo) and math.isfinite(d_hi):
+            secant = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
+            if lo < secant < hi:
+                f = secant
+        d, ev = _evaluate_split(arr, lam, f, opts, allowed, warm)
+        if ev is not None and abs(d) < best_d:
+            best, best_d = ev, abs(d)
+        if abs(d) < 1e-11:
             break
-        if dlo > 0.0:  # sign change is to the left of the bracket
-            if lo_f <= opts.f_lo:
-                return None
-            hi_f, dhi = lo_f, dlo
-            nxt = max(opts.f_lo, lo_f - step)
-            e = ev(nxt)
-            if e is None:
-                return None
-            lo_f, dlo = nxt, e.mean_dup - e.mean_ddn
-        else:  # dhi < 0: sign change is to the right
-            if hi_f >= opts.f_hi:
-                return None
-            lo_f, dlo = hi_f, dhi
-            nxt = min(opts.f_hi, hi_f + step)
-            e = ev(nxt)
-            if e is None:
-                return None
-            hi_f, dhi = nxt, e.mean_dup - e.mean_ddn
-        step *= 2.0
-    else:
-        return None
-    polished_f = None
-    mask = None
-    for _ in range(48):
-        if (hi_f - lo_f) < 1e-13:
-            break
-        mid = 0.5 * (lo_f + hi_f)
-        if mask is None or (hi_f - lo_f) > 16.0 * opts.f_tol:
-            em = ev(mid)
-            if em is None:
-                break
-            mask = em.rates_u > 0.0
+        if d < 0.0:
+            lo, d_lo = f, d
+            if moved == -1:
+                d_hi *= 0.5
+            moved = -1
         else:
-            em = ev_fast(mid, mask)
-            if em is None:
-                break
-        polished_f = mid
-        dm = em.mean_dup - em.mean_ddn
-        if abs(dm) < 1e-11:
-            break
-        if dm < 0.0:
-            lo_f = mid
-        else:
-            hi_f = mid
-    if polished_f is None:
-        return None
-    return ev(polished_f)
+            hi, d_hi = f, d
+            if moved == 1:
+                d_lo *= 0.5
+            moved = 1
+    return best
 
 
 def _optimize_split(arr: _Arrays, lam: float, opts: SolverOptions) -> _SplitEval:
-    """Golden-section minimization of the reduced objective over f_u.
+    """Cheapest split over the silent prefixes of the PNC states.
 
-    The reduced objective is convex (both phase energies are partial minima
-    of jointly convex perspectives). After the bracket shrinks to f_tol, a
-    sign bisection on the envelope derivative mean_dup - mean_ddn sharpens
-    the stationary point well below the bracket width. The best evaluation
-    seen anywhere is returned, so the polish can never make things worse.
+    Prefix k silences the k PNC states with the largest inverse-gain sum
+    (module docstring). Each prefix gets its own split search, cached by k.
+    Starting from the plain map (k = 0), k is set to the number of PNC
+    states whose stationary point lies below x* at the current beta1 until
+    a k repeats. Then, from the best prefix and while the energy falls, k
+    grows to silence the next PNC state that is still active, and after
+    that shrinks by one. Raises ValueError when no split is feasible.
     """
-    cache: dict[float, _SplitEval | None] = {}
     warm: dict = {}
+    pnc = np.flatnonzero(arr.is_pnc)
+    order = pnc[np.argsort(arr.inv_ln2_sum[pnc], kind="stable")]
+    found: dict[int, _SplitEval | None] = {}
 
-    def ev(f: float) -> _SplitEval | None:
-        if f not in cache:
-            try:
-                cache[f] = _evaluate_split(arr, lam, f, opts, warm)
-            except RuntimeError:
-                cache[f] = None
-        return cache[f]
+    def energy(k: int) -> float:
+        if k not in found:
+            allowed = np.ones(arr.n, dtype=bool)
+            allowed[order[:k]] = False
+            found[k] = (_search_split(arr, lam, opts, allowed if k else None, warm)
+                        if allowed.any() else None)
+        return math.inf if found[k] is None else found[k].energy
 
-    def ev_fast(f: float, mask) -> _SplitEval | None:
-        try:
-            return _evaluate_split(arr, lam, f, opts, warm, fixed_allowed=mask)
-        except RuntimeError:
-            return None
-
-    def energy(f: float) -> float:
-        e = ev(f)
-        return math.inf if e is None else e.energy
-
-    a, b = opts.f_lo, opts.f_hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = energy(c), energy(d)
-    while (b - a) > opts.f_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = energy(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = energy(d)
-    polished = _polish_split(ev, ev_fast, a, b, opts)
-    if polished is not None:
-        return polished
-    best = None
-    for e in cache.values():
-        if e is not None and (best is None or e.energy < best.energy):
-            best = e
-    if best is None:
-        raise RuntimeError(
+    if energy(0) == math.inf:
+        raise ValueError(
             f"no feasible time split in [{opts.f_lo}, {opts.f_hi}] for target {lam}")
-    return best
+    if opts.refine_uplink and order.size:
+        x_unit = arr.inv_ln2_sum[order]  # stationary x per unit of beta1
+        # jump near the best prefix first: at n = 1000 the walk alone would
+        # step through the prefixes one split search at a time
+        k = 0
+        while True:
+            k = int(np.count_nonzero(found[k].beta1 * x_unit < _SILENCE_X))
+            if k in found or energy(k) == math.inf:
+                break
+        k = min(found, key=energy)
+        while True:
+            # silence the next PNC state that is still active; the ones
+            # between k and it are already held at zero by the clamp
+            j = int(np.count_nonzero(found[k].rates_u[order] == 0.0)) + 1
+            if j > order.size or energy(j) >= energy(k):
+                break
+            k = j
+        k = min(found, key=energy)
+        while k > 0 and energy(k - 1) < energy(k):
+            k -= 1
+    return found[min(found, key=energy)]
 
 
 def _check_problem(states, modes, target_rate) -> None:
@@ -706,11 +593,8 @@ def solve_beta1(states: Sequence[ChannelState], modes: Sequence[Mode],
     if target_avg_rate == 0.0:
         return 0.0
     arr = _Arrays(states, modes)
-    beta = _bisect_multiplier(lambda b: float(np.mean(_uplink_rates(arr, b))),
-                              target_avg_rate, opts.rate_rtol, opts.max_bisect_iter)
-    return _newton_multiplier(beta, target_avg_rate,
-                              lambda b: _mean_uplink_rate(arr, b),
-                              lambda b: _mean_uplink_slope(arr, b))
+    return _solve_multiplier(lambda b: _mean_uplink_rate(arr, b),
+                             lambda b: _mean_uplink_slope(arr, b), target_avg_rate, opts)
 
 
 def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
@@ -721,11 +605,8 @@ def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
     if target_avg_rate == 0.0:
         return 0.0
     arr = _Arrays(states, None)
-    beta = _bisect_multiplier(lambda b: float(np.mean(_downlink_rates(arr, b))),
-                              target_avg_rate, opts.rate_rtol, opts.max_bisect_iter)
-    return _newton_multiplier(beta, target_avg_rate,
-                              lambda b: _mean_downlink_rate(arr, b),
-                              lambda b: _mean_downlink_slope(arr, b))
+    return _solve_multiplier(lambda b: _mean_downlink_rate(arr, b),
+                             lambda b: _mean_downlink_slope(arr, b), target_avg_rate, opts)
 
 
 def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -734,9 +615,11 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
 
     A zero target is served by the all-silent allocation with the frame
     split evenly by convention. Otherwise the two phases are solved by dual
-    bisection for each candidate split and the split by golden-section
-    search over [opts.f_lo, opts.f_hi] with f_d = 1 - f_u; giving any slack
-    to the downlink never costs energy, so the frame is always used fully.
+    bisection for each candidate split, and the split by false position on
+    the reduced derivative over [opts.f_lo, opts.f_hi] with f_d = 1 - f_u,
+    once per silent PNC prefix tried; giving any slack to the downlink never
+    costs energy, so the frame is always used fully. Raises ValueError when
+    no split in that interval can carry the target.
     """
     opts = opts or SolverOptions()
     _check_problem(states, modes, target_rate)
@@ -748,8 +631,7 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
     ev = _optimize_split(arr, target_rate, opts)
     f_u = ev.f_u
     f_d = 1.0 - f_u
-    p_u = _uplink_powers(arr, ev.rates_u)
-    p_d = _downlink_powers(arr, ev.rates_d)
+    p_u, p_d = ev.powers_u, ev.powers_d
     per = tuple(
         StateAllocation(modes[i], float(ev.rates_u[i]), float(ev.rates_d[i]),
                         float(p_u[i]), float(p_d[i]))
@@ -758,7 +640,7 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
         split=TimeSplit(f_u, f_d),
         per_state=per,
         duals=KktPoint(ev.beta1, ev.beta2, max(0.0, -ev.mean_ddn)),
-        avg_energy=float(np.mean(f_u * p_u + f_d * p_d)),
+        avg_energy=ev.energy,
         avg_rate_u=f_u * float(np.mean(ev.rates_u)),
         avg_rate_d=f_d * float(np.mean(ev.rates_d)),
     )
@@ -813,8 +695,10 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
     """Reduced-objective energies on a grid of uplink fractions, vectorized.
 
     Dense scans of the split objective for diagnostics. Uses the plain
-    water-filling map (no silent-PNC refinement), so it matches
-    solve_fixed_modes run with refine_uplink=False.
+    water-filling map (no PNC state forced silent), which is the objective
+    solve_fixed_modes minimizes with refine_uplink=False. That map jumps
+    where a PNC state leaves its clamp, so the scan can show several local
+    minima.
     """
     opts = opts or SolverOptions()
     _check_problem(states, modes, target_rate)

@@ -201,6 +201,32 @@ def test_refinement_never_hurts():
         assert refined.avg_energy <= plain.avg_energy * (1.0 + 1e-9)
 
 
+# energies of an exhaustive search over every silent PNC subset, for
+# n = 5-8: (seed, n, target, modes, energy)
+SUBSET_SEARCH_ENERGIES = [
+    (2101, 5, 0.1, "pnc", 0.2597200968430474),
+    (2102, 6, 0.5, "mixed", 4.891339209717259),
+    (2103, 7, 2.0, "pnc", 51.47441696563972),
+    (2104, 8, 0.1, "mixed", 0.15366400227312513),
+    (2105, 5, 0.5, "pnc", 3.914641728372471),
+    (2106, 6, 2.0, "mixed", 111.34535301218585),
+    (2107, 7, 0.1, "pnc", 0.5788375714207161),
+    (2108, 8, 0.5, "mixed", 2.3559292805683896),
+    (2109, 5, 2.0, "pnc", 55.09093362440732),
+    (2110, 6, 0.1, "mixed", 0.26409969194600014),
+]
+
+
+@pytest.mark.parametrize("seed,n,lam,label,pinned", SUBSET_SEARCH_ENERGIES)
+def test_prefix_search_matches_the_subset_search(seed, n, lam, label, pinned):
+    if label == "pnc":
+        modes = [Mode.PNC] * n
+    else:
+        modes = [Mode.PNC if i % 2 == 0 else Mode.SPCDNC for i in range(n)]
+    alloc = solve_fixed_modes(sample_states(n, seed), modes, lam)
+    assert alloc.avg_energy <= pinned * (1.0 + 1e-9)
+
+
 # ---------------------------------------------------------- KKT residuals
 
 def test_kkt_residuals_vanish_at_an_interior_optimum():
@@ -278,8 +304,8 @@ def test_zero_target_residuals_report_everything_clamped():
 # ------------------------------------------------------------ split search
 
 def test_golden_section_matches_dense_scan():
-    # the reduced objective is unimodal in f_u; the golden-section result
-    # must land within one grid cell of a 10^4-point scan argmin
+    # the split search must land within one grid cell of a 10^4-point
+    # scan argmin
     rng = np.random.default_rng(80)
     f_grid = np.linspace(0.02, 0.98, 10_000)
     spacing = f_grid[1] - f_grid[0]

@@ -80,6 +80,14 @@ def test_zero_rate_sweep_row(tmp_path):
     assert lines[1] == "0,0,0,0,0.5,1,0"
 
 
+def test_infeasible_target_exits_2_with_one_line(capsys):
+    rc = main(["sweep", "--lambda", "200", "--n-states", "50"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twrelay: error: no feasible time split")
+    assert err.count("\n") == 1
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     args = ["sweep", "--lambda", "0.5,1.0", "--n-states", "25", "--seed", "3"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -47,6 +47,27 @@ def test_mixed_two_state_agreement():
     assert abs(solver.avg_energy - oracle.energy) / oracle.energy <= 1e-3
 
 
+@pytest.mark.parametrize("seed,n,lam,label", [
+    (154131935, 3, 0.25, "mixed"),
+    (22641345, 3, 0.5, "pnc"),
+    (369111370, 3, 0.25, "mixed"),
+    (778526663, 3, 0.5, "pnc"),
+    (799609893, 3, 0.5, "mixed"),
+])
+def test_silent_set_is_chosen_outside_the_split_search(seed, n, lam, label):
+    # instances where choosing the silent PNC set afresh at every split
+    # trapped the split search in the basin of the wrong set, 0.4-1.4%
+    # above the oracle
+    states = sample_states(n, seed)
+    if label == "pnc":
+        modes = [Mode.PNC] * n
+    else:
+        modes = [Mode.PNC if i % 2 == 0 else Mode.SPCDNC for i in range(n)]
+    solver = solve_fixed_modes(states, modes, lam)
+    oracle = brute_force_fixed_modes(states, modes, lam)
+    assert abs(solver.avg_energy - oracle.energy) / oracle.energy <= 1e-3
+
+
 def test_grid_points_never_beat_the_solver():
     states = sample_states(2, 11)
     modes = [Mode.SPCDNC, Mode.SPCDNC]

@@ -4,7 +4,8 @@ single-strategy baselines, and seeded regressions on the standard draw."""
 import numpy as np
 import pytest
 
-from twrelay import Mode, prefer_pnc, sample_states, solve_baseline, solve_switching
+from twrelay import (Mode, SolverOptions, prefer_pnc, sample_states, solve_baseline,
+                     solve_switching)
 
 # frozen outputs of the 1000-state seed-7 draw (first run of this build)
 TRACE_SEED7_LAM2 = (119.94415315973495, 57.92491617664933, 57.76837591300949)
@@ -63,6 +64,22 @@ def test_low_rate_baseline_ordering(seed7_states):
     assert abs(pnc.avg_energy - PNC_ONLY_SEED7[0.25]) <= 1e-9
     assert abs(dnc.avg_energy - DNC_ONLY_SEED7[0.25]) <= 1e-9
     assert dnc.avg_energy < pnc.avg_energy
+
+
+def test_low_rate_crossover_under_the_plain_map(seed7_states):
+    # with the plain water-filling map (no silencing refinement) the
+    # weakly active PNC states keep their fixed cost, and the baselines
+    # cross between the two lowest sweep targets
+    opts = SolverOptions(refine_uplink=False)
+
+    def baselines(lam):
+        return (solve_baseline(seed7_states, lam, Mode.PNC, opts).avg_energy,
+                solve_baseline(seed7_states, lam, Mode.SPCDNC, opts).avg_energy)
+
+    pnc, dnc = baselines(0.25)
+    assert dnc < pnc
+    pnc, dnc = baselines(0.5)
+    assert pnc < dnc
 
 
 def test_high_rate_baseline_ordering(seed7_states):
