@@ -12,10 +12,11 @@ Substituting the per-phase throughputs T = f * rate turns each phase's
 energy into the perspective f * P(T/f) of a convex power curve, so the
 fixed-split problem is convex and separable across states: every state's
 rate is the stationary point of its power curve at a common multiplier,
-clamped at zero, and the multiplier is found by bisection on the average
-rate. The scalar time split is the sign change of the reduced
-derivative, which the envelope theorem gives exactly from the per-state
-terms; Illinois false position finds it (`_search_split`).
+clamped at zero, and the multiplier is found by safeguarded Newton steps
+in its logarithm on the average rate (`_solve_multiplier`). The scalar time
+split is the sign change of the reduced derivative, which the envelope
+theorem gives exactly from the per-state terms; Illinois false position
+finds it (`_search_split`).
 
 One wrinkle is handled beyond the plain water-filling map: a silent state
 consumes no power, but the PNC power curve does not vanish at zero rate
@@ -36,6 +37,7 @@ iteration schedules, no RNG. All inputs are treated as immutable.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,6 +48,7 @@ from .channel import ChannelState
 from .ratepower import Mode
 
 LN2 = math.log(2.0)
+_MAX = sys.float_info.max
 
 # Root of x ln(x) - x + 1/2 = 0. A PNC state whose stationary point
 # x = beta1 / (ln2 (1/g1r + 1/g2r)) lies below this value costs more to
@@ -145,11 +148,12 @@ class KktResiduals:
 class SolverOptions:
     """Tolerances and switches of the allocation solver.
 
-    rate_rtol: relative tolerance of the dual bisections on the average rate.
+    rate_rtol: relative tolerance on the average rate of the multiplier
+        solves; up to 3 Newton steps past it take the error to 1e-15.
     f_tol: split-search bracket width on the uplink fraction, below which
         one last false-position step ends the search.
     f_lo, f_hi: search interval for the uplink fraction.
-    max_bisect_iter: dual bisection iteration cap (exceeded means error).
+    max_bisect_iter: step cap of one multiplier solve (exceeded means error).
     refine_uplink: search the silent prefixes of the PNC states (see module
         docstring); disable to get the plain water-filling map only.
     """
@@ -219,7 +223,7 @@ class _Arrays:
     """Per-state gain quantities in vector form, fixed for one solve."""
 
     __slots__ = ("n", "g_mr", "g_Mr", "g_rm", "inv_sum", "is_pnc", "qa", "qb",
-                 "inv_ln2_sum", "any_pnc", "all_pnc")
+                 "qa4", "inv_ln2_sum", "any_pnc", "all_pnc")
 
     def __init__(self, states: Sequence[ChannelState], modes: Sequence[Mode] | None):
         g1 = np.array([s.g1r for s in states], dtype=float)
@@ -241,26 +245,31 @@ class _Arrays:
         # SPC-DNC slope condition coefficients in x = 2^rate
         self.qa = 2.0 * LN2 / self.g_Mr
         self.qb = LN2 * (1.0 / self.g_mr - 1.0 / self.g_Mr)
+        self.qa4 = 4.0 * self.qa
 
 
 def _uplink_x(arr: _Arrays, beta1):
     """Unclamped stationary points x = 2^rate; beta1 scalar or column vector."""
+    # The SPC-DNC root of qa x^2 + qb x = beta1, as 2s / (t + sqrt(t^2 + 4 qa))
+    # with s = sqrt(beta1), t = qb / s, neither cancels nor overflows before x.
     if np.ndim(beta1) == 0:
-        # scalar fast path: this sits inside every dual bisection step
+        # scalar fast path: this sits inside every multiplier step
         b = float(beta1)
         if b <= 0.0:
             return np.zeros(arr.n)
         if arr.all_pnc:
             return b * arr.inv_ln2_sum
-        disc = np.sqrt(arr.qb * arr.qb + (4.0 * b) * arr.qa)
-        x = (2.0 * b) / (arr.qb + disc)
+        s = math.sqrt(b)
+        t = arr.qb / s
+        x = (2.0 * s) / (t + np.sqrt(t * t + arr.qa4))
         if arr.any_pnc:
             x = np.where(arr.is_pnc, b * arr.inv_ln2_sum, x)
         return x
     with np.errstate(invalid="ignore", divide="ignore"):
         x_pnc = beta1 / (LN2 * arr.inv_sum)
-        disc = np.sqrt(arr.qb * arr.qb + 4.0 * arr.qa * beta1)
-        x_dnc = np.where(beta1 > 0.0, 2.0 * beta1 / (arr.qb + disc), 0.0)
+        s = np.sqrt(beta1)
+        t = arr.qb / s
+        x_dnc = np.where(beta1 > 0.0, 2.0 * s / (t + np.sqrt(t * t + arr.qa4)), 0.0)
     return np.where(arr.is_pnc, x_pnc, x_dnc)
 
 
@@ -272,62 +281,34 @@ def _uplink_rates(arr: _Arrays, beta1, allowed=None):
     return r
 
 
-def _mean_uplink_rate(arr: _Arrays, beta1: float, allowed=None) -> float:
-    x = _uplink_x(arr, beta1)
-    np.maximum(x, 1.0, out=x)
-    np.log2(x, out=x)
-    if allowed is not None:
-        x *= allowed
-    return float(x.sum()) / arr.n
+def _uplink_rate_slope(arr: _Arrays, beta1: float, allowed=None):
+    """Mean uplink rate over the allowed states and its derivative in ln(beta1).
 
-
-def _mean_downlink_rate(arr: _Arrays, beta2: float) -> float:
-    x = arr.g_rm * (beta2 / LN2)
-    np.maximum(x, 1.0, out=x)
-    np.log2(x, out=x)
-    return float(x.sum()) / arr.n
-
-
-def _mean_uplink_slope(arr: _Arrays, beta1: float, allowed=None) -> float:
-    """d(mean uplink rate)/d beta1 over the active, allowed states."""
-    x = _uplink_x(arr, beta1)
-    if arr.all_pnc:
-        d = np.where(x > 1.0, 1.0 / (beta1 * LN2), 0.0)
-    else:
-        d = 1.0 / ((2.0 * arr.qa * x + arr.qb) * x * LN2)
-        if arr.any_pnc:
-            d = np.where(arr.is_pnc, 1.0 / (beta1 * LN2), d)
-        d = np.where(x > 1.0, d, 0.0)
-    if allowed is not None:
-        d = d * allowed
-    return float(d.sum()) / arr.n
-
-
-def _mean_downlink_slope(arr: _Arrays, beta2: float) -> float:
-    active = arr.g_rm * (beta2 / LN2) > 1.0
-    return float(active.sum()) / (arr.n * beta2 * LN2)
-
-
-def _newton_multiplier(beta: float, target: float, mean_rate, mean_slope) -> float:
-    """Sharpen a bisected multiplier with a few Newton steps.
-
-    Bisection stops once the average rate sits within its relative
-    tolerance, which leaves the multiplier quantized at that level; the
-    envelope derivatives used by the split search and the KKT report
-    inherit the quantization scaled by the problem's power level. Newton
-    on the same monotone map takes the rate error to machine level, so
-    those derivatives stay clean at every energy scale.
+    Per active state the derivative is 1/ln2 for PNC and, for SPC-DNC with
+    qa x^2 + qb x = beta1, (qa x + qb) / ((2 qa x + qb) ln2).
     """
-    for _ in range(3):
-        err = mean_rate(beta) - target
-        if abs(err) <= 1e-15 * target:
-            break
-        slope = mean_slope(beta)
-        if slope <= 0.0:
-            break
-        nxt = beta - err / slope
-        beta = nxt if nxt > 0.0 else 0.5 * beta
-    return beta
+    x = np.maximum(_uplink_x(arr, beta1), 1.0)
+    r = np.log2(x)
+    if allowed is not None:
+        r *= allowed
+    active = r > 0.0
+    if arr.all_pnc:
+        slope = np.count_nonzero(active) / LN2
+    else:
+        qx = arr.qa * x
+        d = (qx + arr.qb) / ((2.0 * qx + arr.qb) * LN2)
+        if arr.any_pnc:
+            d[arr.is_pnc] = 1.0 / LN2
+        slope = float(d.sum(where=active))
+    return float(r.sum()) / arr.n, slope / arr.n
+
+
+def _downlink_rate_slope(arr: _Arrays, beta2: float):
+    """Mean downlink rate and its derivative in ln(beta2), 1/ln2 per active state."""
+    r = arr.g_rm * (beta2 / LN2)
+    np.maximum(r, 1.0, out=r)
+    np.log2(r, out=r)
+    return float(r.sum()) / arr.n, np.count_nonzero(r) / (arr.n * LN2)
 
 
 def _uplink_powers(arr: _Arrays, rates):
@@ -358,47 +339,53 @@ def _downlink_power_slope(arr: _Arrays, rates):
     return LN2 * np.exp2(rates) / arr.g_rm
 
 
-def _solve_multiplier(mean_rate: Callable[[float], float], mean_slope: Callable[[float], float],
-                      target: float, opts: SolverOptions, hint: float | None = None) -> float:
-    """Solve mean_rate(beta) = target for beta >= 0 by bracketing bisection.
+def _solve_multiplier(rate_slope: Callable[[float], tuple[float, float]], target: float,
+                      opts: SolverOptions, hint: float | None = None) -> float:
+    """Solve mean_rate(beta) = target for beta >= 0 by Newton steps in u = ln beta.
 
-    The map is continuous and nondecreasing, zero at beta = 0 and unbounded,
-    so a finite positive target always brackets. A hint (typically the
-    multiplier of a neighbouring solve) seeds the bracket; a wrong hint only
-    costs a couple of probes. Both the expansion and the bisection carry
-    iteration caps that raise RuntimeError when exceeded. The accepted
-    multiplier is sharpened by `_newton_multiplier`.
+    rate_slope(beta) gives the mean rate and its slope in u. The rate is
+    nondecreasing in u, and for PNC and downlink states linear in u between
+    the points where a state leaves its clamp, where a step is exact. Steps
+    start at the hint (a neighbouring solve's multiplier) or at 1; one that
+    leaves the bracket of points below and above the target becomes a
+    factor 4 while that side is open, else the geometric midpoint. The
+    search stops at a rate error of 1e-15 relative, or 3 steps after it is
+    within opts.rate_rtol, or where a step no longer moves beta. Raises
+    RuntimeError when beta would overflow float64 or after
+    opts.max_bisect_iter steps.
     """
     if target <= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    if hint is not None and hint > 0.0 and math.isfinite(hint):
-        if mean_rate(hint) >= target:
-            hi = hint
-            probe = 0.25 * hint
-            if mean_rate(probe) <= target:
-                lo = probe
-        else:
-            lo, hi = hint, 4.0 * hint
-    for _ in range(300):
-        if mean_rate(hi) >= target:
-            break
-        lo = hi
-        hi *= 4.0
-        if not math.isfinite(hi):
-            raise RuntimeError("multiplier bracket expansion failed: rate target unreachable")
-    else:
-        raise RuntimeError("multiplier bracket expansion failed: rate target unreachable")
-    for _ in range(opts.max_bisect_iter):
-        mid = 0.5 * (lo + hi)
-        val = mean_rate(mid)
-        if abs(val - target) <= opts.rate_rtol * target:
-            return _newton_multiplier(mid, target, mean_rate, mean_slope)
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("dual bisection did not reach tolerance within the iteration cap")
+    beta = hint if hint is not None and 0.0 < hint < math.inf else 1.0
+    lo, hi = 0.0, math.inf
+    polish = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(opts.max_bisect_iter):
+            rate, slope = rate_slope(beta)
+            err = rate - target
+            close = abs(err) <= opts.rate_rtol * target
+            polish += close
+            if polish > 3 or abs(err) <= 1e-15 * target:
+                return beta
+            if err < 0.0:
+                lo = beta
+            else:
+                hi = beta
+            step = -err / slope if slope > 0.0 else math.copysign(math.inf, -err)
+            nxt = beta * math.exp(min(step, 709.0))
+            if not lo < nxt < hi:
+                if close:
+                    return beta  # no Newton step left inside the bracket
+                if 0.0 < lo and hi < math.inf:
+                    nxt = math.sqrt(lo) * math.sqrt(hi)
+                else:
+                    nxt = min(4.0 * beta if err < 0.0 else 0.25 * beta, _MAX)
+                if not lo < nxt < hi:
+                    # adjacent floats or the float64 limit: the rate jumps
+                    # across the target, as where 2^rate overflows to inf
+                    raise RuntimeError("rate target unreachable in float64")
+            beta = nxt
+    raise RuntimeError("multiplier search did not reach tolerance within the iteration cap")
 
 
 def _solve_uplink(arr: _Arrays, target: float, opts: SolverOptions, allowed, hint):
@@ -406,18 +393,16 @@ def _solve_uplink(arr: _Arrays, target: float, opts: SolverOptions, allowed, hin
 
     States outside `allowed` (None means every state) stay silent; the rest
     follow the clamped stationary map. Raises RuntimeError when the
-    multiplier cannot be bracketed or a power overflows float64.
+    multiplier or a power overflows float64.
     """
-    beta = _solve_multiplier(lambda b: _mean_uplink_rate(arr, b, allowed),
-                             lambda b: _mean_uplink_slope(arr, b, allowed), target, opts, hint)
+    beta = _solve_multiplier(lambda b: _uplink_rate_slope(arr, b, allowed), target, opts, hint)
     rates = _uplink_rates(arr, beta, allowed)
     return beta, rates, _finite_powers(_uplink_powers, arr, rates)
 
 
 def _solve_downlink(arr: _Arrays, target: float, opts: SolverOptions, hint):
     """Downlink counterpart of `_solve_uplink`, with every state allowed."""
-    beta = _solve_multiplier(lambda b: _mean_downlink_rate(arr, b),
-                             lambda b: _mean_downlink_slope(arr, b), target, opts, hint)
+    beta = _solve_multiplier(lambda b: _downlink_rate_slope(arr, b), target, opts, hint)
     rates = _downlink_rates(arr, beta)
     return beta, rates, _finite_powers(_downlink_powers, arr, rates)
 
@@ -481,28 +466,34 @@ def _search_split(arr: _Arrays, lam: float, opts: SolverOptions, allowed,
     With the silent set fixed the reduced objective is convex in f_u, so
     its minimizer is the sign change of the envelope derivative d. The
     bracket starts as [f_lo, f_hi] with d taken as -inf and +inf at its
-    ends, so a boundary minimum is approached to within f_tol. While an end
-    is infinite (never probed, or its phase overflowed) the step bisects;
-    otherwise it is a false-position step, and an end kept twice in a row
-    has its d halved (Illinois). The search stops as soon as |d| < 1e-11,
-    or after one last step inside a bracket narrower than opts.f_tol: both
-    ends of such a bracket can still carry a |d| too large for the KKT
-    check, while a false-position step inside it lands on the sign change.
-    Returns the feasible evaluation with the smallest |d|, or None when no
-    split is feasible.
+    ends, so a boundary minimum is approached to within f_tol. A search
+    after the first probes the last one's split, warm["f_u"], then steps
+    towards the sign change by 1e-2, 4e-2, ... from it until d changes sign
+    or the step leaves the bracket. While an end is infinite (never probed,
+    or its phase overflowed) the step bisects; otherwise it is a
+    false-position step, and an end kept twice in a row has its d halved
+    (Illinois). The search stops as soon as |d| < 1e-11, or after one last
+    step inside a bracket narrower than opts.f_tol: both ends of such a
+    bracket can still carry a |d| too large for the KKT check, while a
+    false-position step inside it lands on the sign change. Returns the
+    feasible evaluation with the smallest |d|, or None when no split is
+    feasible.
     """
     lo, hi = opts.f_lo, opts.f_hi
     d_lo, d_hi = -math.inf, math.inf
     best, best_d = None, math.inf
     moved = 0  # which end the last step replaced: -1 lo, +1 hi
+    start = f = warm.get("f_u")
+    width = 1e-2
     last = False
     while not last:
         last = hi - lo < opts.f_tol
-        f = 0.5 * (lo + hi)
-        if math.isfinite(d_lo) and math.isfinite(d_hi):
-            secant = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
-            if lo < secant < hi:
-                f = secant
+        if f is None:
+            f = 0.5 * (lo + hi)
+            if math.isfinite(d_lo) and math.isfinite(d_hi):
+                secant = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
+                if lo < secant < hi:
+                    f = secant
         d, ev = _evaluate_split(arr, lam, f, opts, allowed, warm)
         if ev is not None and abs(d) < best_d:
             best, best_d = ev, abs(d)
@@ -518,6 +509,14 @@ def _search_split(arr: _Arrays, lam: float, opts: SolverOptions, allowed,
             if moved == 1:
                 d_lo *= 0.5
             moved = 1
+        f = None
+        if start is not None and not (math.isfinite(d_lo) and math.isfinite(d_hi)):
+            f = start - math.copysign(width, d)
+            width *= 4.0
+            if not lo < f < hi:
+                start = f = None
+    if best is not None:
+        warm["f_u"] = best.f_u
     return best
 
 
@@ -584,17 +583,17 @@ def solve_beta1(states: Sequence[ChannelState], modes: Sequence[Mode],
                 target_avg_rate: float, opts: SolverOptions | None = None) -> float:
     """Uplink multiplier whose clamped stationary rates average to the target.
 
-    Bisection on the (continuous, nondecreasing) average-rate map to the
-    relative tolerance opts.rate_rtol, then a short Newton refinement of
-    the accepted multiplier. Target 0 returns 0.
+    Safeguarded Newton steps in ln(beta1) on the (continuous,
+    nondecreasing) average-rate map, to opts.rate_rtol and then to a
+    relative error of 1e-15 (`_solve_multiplier`). Target 0 returns 0;
+    RuntimeError means the multiplier overflows float64.
     """
     opts = opts or SolverOptions()
     _check_problem(states, modes, target_avg_rate)
     if target_avg_rate == 0.0:
         return 0.0
     arr = _Arrays(states, modes)
-    return _solve_multiplier(lambda b: _mean_uplink_rate(arr, b),
-                             lambda b: _mean_uplink_slope(arr, b), target_avg_rate, opts)
+    return _solve_multiplier(lambda b: _uplink_rate_slope(arr, b), target_avg_rate, opts)
 
 
 def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
@@ -605,8 +604,7 @@ def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
     if target_avg_rate == 0.0:
         return 0.0
     arr = _Arrays(states, None)
-    return _solve_multiplier(lambda b: _mean_downlink_rate(arr, b),
-                             lambda b: _mean_downlink_slope(arr, b), target_avg_rate, opts)
+    return _solve_multiplier(lambda b: _downlink_rate_slope(arr, b), target_avg_rate, opts)
 
 
 def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -614,10 +612,12 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
     """Minimum-energy allocation for the given per-state strategy assignment.
 
     A zero target is served by the all-silent allocation with the frame
-    split evenly by convention. Otherwise the two phases are solved by dual
-    bisection for each candidate split, and the split by false position on
-    the reduced derivative over [opts.f_lo, opts.f_hi] with f_d = 1 - f_u,
-    once per silent PNC prefix tried; giving any slack to the downlink never
+    split evenly by convention. Otherwise the two phases are solved by
+    Newton steps on their multipliers for each candidate split, and the
+    split by false position on the reduced derivative over
+    [opts.f_lo, opts.f_hi] with f_d = 1 - f_u, once per silent PNC prefix
+    tried, each search after the first starting from the split of the one
+    before; giving any slack to the downlink never
     costs energy, so the frame is always used fully. Raises ValueError when
     no split in that interval can carry the target.
     """

@@ -3,6 +3,7 @@ and the split search against a dense scan."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ def test_solve_beta1_is_increasing_in_target():
     states, modes = rand_instance(rng, 12)
     betas = [solve_beta1(states, modes, t) for t in (0.2, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(betas, betas[1:]))
+
+
+def test_multipliers_far_beyond_2_pow_600_are_found():
+    states = sample_states(50, 7)
+    b2 = solve_beta2(states, 700.0)  # about 1.48e211
+    assert 2.0 ** 600 < b2 < math.inf
+    rates = [downlink_rate_given_beta2(b2, s) for s in states]
+    assert abs(np.mean(rates) - 700.0) <= 1e-12 * 700.0
+    b1 = solve_beta1(states, [Mode.SPCDNC] * 50, 300.0)  # about 5.27e180
+    assert 2.0 ** 600 < b1 < math.inf
+    rates = [dnc_rate_given_beta1(b1, s) for s in states]
+    assert abs(np.mean(rates) - 300.0) <= 1e-12 * 300.0
+    # every split probe of this solve needs such a multiplier
+    alloc = solve_fixed_modes(states, [Mode.PNC] * 50, 200.0)
+    assert alloc.avg_energy <= 1.2153e121
+
+
+def test_multiplier_overflow_is_a_runtime_error_without_warnings():
+    states = sample_states(50, 7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError):
+            solve_beta1(states, [Mode.SPCDNC] * 50, 599.0)  # beta near 2^1198
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ------------------------------------------------------------- full solves

@@ -1,6 +1,8 @@
 """Command-line front end: config handling, output formats, exit codes."""
 
 import json
+import math
+import warnings
 
 import pytest
 
@@ -81,11 +83,26 @@ def test_zero_rate_sweep_row(tmp_path):
 
 
 def test_infeasible_target_exits_2_with_one_line(capsys):
-    rc = main(["sweep", "--lambda", "200", "--n-states", "50"])
+    # a mean rate of 2000 bits needs 2^2000, beyond float64 for any gains
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--lambda", "2000", "--n-states", "50"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("twrelay: error: no feasible time split")
     assert err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_target_with_a_huge_finite_multiplier_is_solved(capsys):
+    # the PNC-only and SPC-DNC-only multipliers sit near 1e121 and 1e181
+    rc = main(["sweep", "--lambda", "200", "--n-states", "50"])
+    assert rc == 0
+    header, line = capsys.readouterr().out.strip().split("\n")
+    assert header == SWEEP_HEADER
+    vals = [float(v) for v in line.split(",")]
+    assert vals[0] == 200.0
+    assert all(math.isfinite(v) for v in vals)
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):
