@@ -18,6 +18,13 @@ split is the sign change of the reduced derivative, which the envelope
 theorem gives exactly from the per-state terms; Illinois false position
 finds it (`_search_split`).
 
+Both phases run through one water-filling core. With x = 2^rate every
+state's power is a (x - o) + b x (x - 1), with the coefficients from
+`ratepower`: linear for the broadcast and PNC, quadratic for SPC-DNC. A
+`_Phase` holds them per state, and `_rates`, `_rate_slope` and `_powers`
+give the stationary rates, the mean rate with its slope in ln(beta), and
+the powers with their slopes and envelope terms, for either phase.
+
 One wrinkle is handled beyond the plain water-filling map: a silent state
 consumes no power, but the PNC power curve does not vanish at zero rate
 (the 1/2 SNR offset), so states whose stationary point sits barely above
@@ -45,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import ChannelState
-from .ratepower import Mode
+from .ratepower import Mode, broadcast_curve, curve_power, dnc_curve, pnc_curve
 
 LN2 = math.log(2.0)
 _MAX = sys.float_info.max
@@ -174,22 +181,13 @@ class SolverOptions:
             raise ValueError("max_bisect_iter must be at least 1")
 
 
-def _check_multiplier(beta: float) -> None:
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise ValueError(f"multiplier must be nonnegative and finite, got {beta!r}")
-
-
 def pnc_rate_given_beta1(beta1: float, state: ChannelState) -> float:
     """Stationary PNC uplink rate at multiplier beta1, clamped at zero.
 
     Setting the slope of the PNC sum power equal to beta1 gives
     2^rate = beta1 / (ln2 * (1/g1r + 1/g2r)).
     """
-    _check_multiplier(beta1)
-    if beta1 == 0.0:
-        return 0.0
-    x = beta1 / (LN2 * (1.0 / state.g1r + 1.0 / state.g2r))
-    return max(0.0, math.log2(x))
+    return _single_rate(_uplink([state], [Mode.PNC]), beta1)
 
 
 def dnc_rate_given_beta1(beta1: float, state: ChannelState) -> float:
@@ -199,144 +197,117 @@ def dnc_rate_given_beta1(beta1: float, state: ChannelState) -> float:
 
         (2 ln2 / g_Mr) x^2 + ln2 (1/g_mr - 1/g_Mr) x = beta1
 
-    and the rate is log2 of its positive root. The root is evaluated in
-    the cancellation-free form 2 beta1 / (b + sqrt(b^2 + 4 a beta1)).
+    and the rate is log2 of its positive root (see `_stationary_x`).
     """
-    _check_multiplier(beta1)
-    if beta1 == 0.0:
-        return 0.0
-    a = 2.0 * LN2 / state.g_Mr
-    b = LN2 * (1.0 / state.g_mr - 1.0 / state.g_Mr)
-    x = 2.0 * beta1 / (b + math.sqrt(b * b + 4.0 * a * beta1))
-    return max(0.0, math.log2(x))
+    return _single_rate(_uplink([state], [Mode.SPCDNC]), beta1)
 
 
 def downlink_rate_given_beta2(beta2: float, state: ChannelState) -> float:
     """Stationary broadcast rate at multiplier beta2: max(0, log2(beta2 g_rm / ln2))."""
-    _check_multiplier(beta2)
-    if beta2 == 0.0:
+    return _single_rate(_downlink([state]), beta2)
+
+
+def _single_rate(phase: _Phase, beta: float) -> float:
+    if not (beta >= 0.0 and math.isfinite(beta)):
+        raise ValueError(f"multiplier must be nonnegative and finite, got {beta!r}")
+    if beta == 0.0:
         return 0.0
-    return max(0.0, math.log2(beta2 * state.g_rm / LN2))
+    with np.errstate(over="ignore"):
+        return float(_rates(phase, beta)[0])
 
 
-class _Arrays:
-    """Per-state gain quantities in vector form, fixed for one solve."""
+class _Phase:
+    """One phase's per-state power curves P = a (x - o) + b x (x - 1), x = 2^rate.
 
-    __slots__ = ("n", "g_mr", "g_Mr", "g_rm", "inv_sum", "is_pnc", "qa", "qb",
-                 "qa4", "inv_ln2_sum", "any_pnc", "all_pnc")
-
-    def __init__(self, states: Sequence[ChannelState], modes: Sequence[Mode] | None):
-        g1 = np.array([s.g1r for s in states], dtype=float)
-        g2 = np.array([s.g2r for s in states], dtype=float)
-        gr1 = np.array([s.gr1 for s in states], dtype=float)
-        gr2 = np.array([s.gr2 for s in states], dtype=float)
-        self.n = len(states)
-        self.g_mr = np.minimum(g1, g2)
-        self.g_Mr = np.maximum(g1, g2)
-        self.g_rm = np.minimum(gr1, gr2)
-        self.inv_sum = 1.0 / g1 + 1.0 / g2
-        self.inv_ln2_sum = 1.0 / (LN2 * self.inv_sum)
-        if modes is None:
-            self.is_pnc = np.zeros(self.n, dtype=bool)
-        else:
-            self.is_pnc = np.array([m is Mode.PNC for m in modes], dtype=bool)
-        self.any_pnc = bool(self.is_pnc.any())
-        self.all_pnc = bool(self.is_pnc.all())
-        # SPC-DNC slope condition coefficients in x = 2^rate
-        self.qa = 2.0 * LN2 / self.g_Mr
-        self.qb = LN2 * (1.0 / self.g_mr - 1.0 / self.g_Mr)
-        self.qa4 = 4.0 * self.qa
-
-
-def _uplink_x(arr: _Arrays, beta1):
-    """Unclamped stationary points x = 2^rate; beta1 scalar or column vector."""
-    # The SPC-DNC root of qa x^2 + qb x = beta1, as 2s / (t + sqrt(t^2 + 4 qa))
-    # with s = sqrt(beta1), t = qb / s, neither cancels nor overflows before x.
-    if np.ndim(beta1) == 0:
-        # scalar fast path: this sits inside every multiplier step
-        b = float(beta1)
-        if b <= 0.0:
-            return np.zeros(arr.n)
-        if arr.all_pnc:
-            return b * arr.inv_ln2_sum
-        s = math.sqrt(b)
-        t = arr.qb / s
-        x = (2.0 * s) / (t + np.sqrt(t * t + arr.qa4))
-        if arr.any_pnc:
-            x = np.where(arr.is_pnc, b * arr.inv_ln2_sum, x)
-        return x
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x_pnc = beta1 / (LN2 * arr.inv_sum)
-        s = np.sqrt(beta1)
-        t = arr.qb / s
-        x_dnc = np.where(beta1 > 0.0, 2.0 * s / (t + np.sqrt(t * t + arr.qa4)), 0.0)
-    return np.where(arr.is_pnc, x_pnc, x_dnc)
-
-
-def _uplink_rates(arr: _Arrays, beta1, allowed=None):
-    x = _uplink_x(arr, beta1)
-    r = np.log2(np.maximum(x, 1.0))
-    if allowed is not None:
-        r = np.where(allowed, r, 0.0)
-    return r
-
-
-def _uplink_rate_slope(arr: _Arrays, beta1: float, allowed=None):
-    """Mean uplink rate over the allowed states and its derivative in ln(beta1).
-
-    Per active state the derivative is 1/ln2 for PNC and, for SPC-DNC with
-    qa x^2 + qb x = beta1, (qa x + qb) / ((2 qa x + qb) ln2).
+    At multiplier beta a state's stationary point solves P'(rate) = beta,
+    that is qa x^2 + qb x = beta with qa = 2 ln2 b and qb = ln2 (a - b);
+    linear curves (b = 0: the broadcast and PNC) give x = beta / qb.
     """
-    x = np.maximum(_uplink_x(arr, beta1), 1.0)
+
+    __slots__ = ("n", "a", "o", "b", "qa", "qa4", "qb", "inv_qb", "linear",
+                 "all_linear", "any_linear")
+
+    def __init__(self, a, o, b):
+        self.a, self.o, self.b = np.broadcast_arrays(a, o, b)
+        self.n = self.a.size
+        self.qa = 2.0 * LN2 * self.b
+        self.qa4 = 4.0 * self.qa
+        self.qb = LN2 * (self.a - self.b)
+        self.linear = self.b == 0.0
+        self.all_linear = bool(self.linear.all())
+        self.any_linear = bool(self.linear.any())
+        # stationary x per unit of beta on the linear curves
+        self.inv_qb = np.divide(1.0, self.qb, out=np.zeros(self.n), where=self.linear)
+
+
+def _uplink(states: Sequence[ChannelState], modes: Sequence[Mode]) -> _Phase:
+    """Uplink curves: PNC where `modes` says so, SPC-DNC elsewhere."""
+    g1 = np.array([s.g1r for s in states], dtype=float)
+    g2 = np.array([s.g2r for s in states], dtype=float)
+    pnc = np.array([m is Mode.PNC for m in modes], dtype=bool)
+    dnc = dnc_curve(np.minimum(g1, g2), np.maximum(g1, g2))
+    return _Phase(*(np.where(pnc, p, d) for p, d in zip(pnc_curve(g1, g2), dnc)))
+
+
+def _downlink(states: Sequence[ChannelState]) -> _Phase:
+    return _Phase(*broadcast_curve(np.array([s.g_rm for s in states], dtype=float)))
+
+
+def _stationary_x(ph: _Phase, beta):
+    """Unclamped stationary points x = 2^rate at beta > 0, scalar or column vector."""
+    if ph.all_linear:
+        return beta * ph.inv_qb
+    # the root of qa x^2 + qb x = beta as 2s / (t + sqrt(t^2 + 4 qa)) with
+    # s = sqrt(beta), t = qb / s neither cancels nor overflows before x
+    s = np.sqrt(beta)
+    t = ph.qb / s
+    x = 2.0 * s / (t + np.sqrt(t * t + ph.qa4))
+    if ph.any_linear:
+        # with qa = 0 that root comes out as 2 beta / qb once t^2 underflows
+        x = np.where(ph.linear, beta * ph.inv_qb, x)
+    return x
+
+
+def _rates(ph: _Phase, beta, allowed=None):
+    """Clamped stationary rates; states outside `allowed` (None: every state) stay silent."""
+    r = np.log2(np.maximum(_stationary_x(ph, beta), 1.0))
+    return r if allowed is None else np.where(allowed, r, 0.0)
+
+
+def _rate_slope(ph: _Phase, beta: float, allowed=None):
+    """Mean rate over the allowed states and its derivative in ln(beta).
+
+    Per active state the derivative is (qa x + qb) / ((2 qa x + qb) ln2),
+    which is 1/ln2 on a linear curve.
+    """
+    x = np.maximum(_stationary_x(ph, beta), 1.0)
     r = np.log2(x)
     if allowed is not None:
         r *= allowed
-    active = r > 0.0
-    if arr.all_pnc:
-        slope = np.count_nonzero(active) / LN2
+    if ph.all_linear:
+        slope = np.count_nonzero(r) / LN2
     else:
-        qx = arr.qa * x
-        d = (qx + arr.qb) / ((2.0 * qx + arr.qb) * LN2)
-        if arr.any_pnc:
-            d[arr.is_pnc] = 1.0 / LN2
-        slope = float(d.sum(where=active))
-    return float(r.sum()) / arr.n, slope / arr.n
+        qx = ph.qa * x
+        slope = float(((qx + ph.qb) / ((2.0 * qx + ph.qb) * LN2)).sum(where=r > 0.0))
+    return float(r.sum()) / ph.n, slope / ph.n
 
 
-def _downlink_rate_slope(arr: _Arrays, beta2: float):
-    """Mean downlink rate and its derivative in ln(beta2), 1/ln2 per active state."""
-    r = arr.g_rm * (beta2 / LN2)
-    np.maximum(r, 1.0, out=r)
-    np.log2(r, out=r)
-    return float(r.sum()) / arr.n, np.count_nonzero(r) / (arr.n * LN2)
+def _powers(ph: _Phase, rates):
+    """Powers, their slopes P'(rate), and the mean envelope term over the last axis.
 
-
-def _uplink_powers(arr: _Arrays, rates):
-    x = np.exp2(rates)
-    p_pnc = (x - 0.5) * arr.inv_sum
-    p_dnc = (x - 1.0) / arr.g_mr + x * (x - 1.0) / arr.g_Mr
-    p = np.where(arr.is_pnc, p_pnc, p_dnc)
-    return np.where(rates > 0.0, p, 0.0)
-
-
-def _uplink_power_slope(arr: _Arrays, rates):
-    x = np.exp2(rates)
-    s_pnc = LN2 * x * arr.inv_sum
-    s_dnc = LN2 * x / arr.g_mr + LN2 * (2.0 * x * x - x) / arr.g_Mr
-    return np.where(arr.is_pnc, s_pnc, s_dnc)
-
-
-def _downlink_rates(arr: _Arrays, beta2):
-    x = beta2 * arr.g_rm / LN2
-    return np.log2(np.maximum(x, 1.0))
-
-
-def _downlink_powers(arr: _Arrays, rates):
-    return np.where(rates > 0.0, (np.exp2(rates) - 1.0) / arr.g_rm, 0.0)
-
-
-def _downlink_power_slope(arr: _Arrays, rates):
-    return LN2 * np.exp2(rates) / arr.g_rm
+    The envelope term P - rate P' is d(f P(T/f))/df at fixed throughput
+    T = f rate. Silent states use no power and add no envelope term.
+    Raises RuntimeError where a power or the mean overflows float64.
+    """
+    active = rates > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp2(rates)
+        p = np.where(active, curve_power(x, ph.a, ph.o, ph.b), 0.0)
+        slope = LN2 * x * (ph.a + ph.b * (2.0 * x - 1.0))
+        env = np.where(active, p - rates * slope, 0.0).mean(axis=-1)
+    if not (np.isfinite(p).all() and np.isfinite(env).all()):
+        raise RuntimeError("transmit power overflows float64")
+    return p, slope, env
 
 
 def _solve_multiplier(rate_slope: Callable[[float], tuple[float, float]], target: float,
@@ -388,32 +359,17 @@ def _solve_multiplier(rate_slope: Callable[[float], tuple[float, float]], target
     raise RuntimeError("multiplier search did not reach tolerance within the iteration cap")
 
 
-def _solve_uplink(arr: _Arrays, target: float, opts: SolverOptions, allowed, hint):
-    """Uplink multiplier, rates, and powers meeting the average-rate target.
+def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, allowed, hint):
+    """Multiplier, rates, powers and mean envelope term meeting the average-rate target.
 
     States outside `allowed` (None means every state) stay silent; the rest
     follow the clamped stationary map. Raises RuntimeError when the
     multiplier or a power overflows float64.
     """
-    beta = _solve_multiplier(lambda b: _uplink_rate_slope(arr, b, allowed), target, opts, hint)
-    rates = _uplink_rates(arr, beta, allowed)
-    return beta, rates, _finite_powers(_uplink_powers, arr, rates)
-
-
-def _solve_downlink(arr: _Arrays, target: float, opts: SolverOptions, hint):
-    """Downlink counterpart of `_solve_uplink`, with every state allowed."""
-    beta = _solve_multiplier(lambda b: _downlink_rate_slope(arr, b), target, opts, hint)
-    rates = _downlink_rates(arr, beta)
-    return beta, rates, _finite_powers(_downlink_powers, arr, rates)
-
-
-def _finite_powers(powers, arr: _Arrays, rates):
-    """powers(arr, rates), raising RuntimeError where one overflows float64."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = powers(arr, rates)
-    if not np.isfinite(p).all():
-        raise RuntimeError("transmit power overflows float64")
-    return p
+    beta = _solve_multiplier(lambda b: _rate_slope(ph, b, allowed), target, opts, hint)
+    rates = _rates(ph, beta, allowed)
+    p, _, env = _powers(ph, rates)
+    return beta, rates, p, float(env)
 
 
 _SplitEval = namedtuple(
@@ -422,7 +378,7 @@ _SplitEval = namedtuple(
 )
 
 
-def _evaluate_split(arr: _Arrays, lam: float, f_u: float, opts: SolverOptions,
+def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: SolverOptions,
                     allowed, warm: dict):
     """Solve both phases at a fixed split: (envelope derivative, evaluation).
 
@@ -433,17 +389,14 @@ def _evaluate_split(arr: _Arrays, lam: float, f_u: float, opts: SolverOptions,
     """
     f_d = 1.0 - f_u
     try:
-        beta1, r_u, p_u = _solve_uplink(arr, lam / f_u, opts, allowed, warm.get("b1"))
+        beta1, r_u, p_u, dup = _solve_phase(up, lam / f_u, opts, allowed, warm.get("b1"))
     except RuntimeError:
         return -math.inf, None
     try:
-        beta2, r_d, p_d = _solve_downlink(arr, lam / f_d, opts, warm.get("b2"))
+        beta2, r_d, p_d, ddn = _solve_phase(dn, lam / f_d, opts, None, warm.get("b2"))
     except RuntimeError:
         return math.inf, None
     warm["b1"], warm["b2"] = beta1, beta2
-    # d(f * P(T/f))/df = P(rate) - rate * P'(rate); silent states pin it at 0
-    dup = np.where(r_u > 0.0, p_u - r_u * _uplink_power_slope(arr, r_u), 0.0)
-    ddn = np.where(r_d > 0.0, p_d - r_d * _downlink_power_slope(arr, r_d), 0.0)
     ev = _SplitEval(
         f_u=f_u,
         energy=float(np.mean(f_u * p_u + f_d * p_d)),
@@ -453,13 +406,13 @@ def _evaluate_split(arr: _Arrays, lam: float, f_u: float, opts: SolverOptions,
         rates_d=r_d,
         powers_u=p_u,
         powers_d=p_d,
-        mean_dup=float(np.mean(dup)),
-        mean_ddn=float(np.mean(ddn)),
+        mean_dup=dup,
+        mean_ddn=ddn,
     )
     return ev.mean_dup - ev.mean_ddn, ev
 
 
-def _search_split(arr: _Arrays, lam: float, opts: SolverOptions, allowed,
+def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allowed,
                   warm: dict) -> _SplitEval | None:
     """Stationary split for a fixed silent set, by Illinois false position.
 
@@ -472,12 +425,13 @@ def _search_split(arr: _Arrays, lam: float, opts: SolverOptions, allowed,
     or the step leaves the bracket. While an end is infinite (never probed,
     or its phase overflowed) the step bisects; otherwise it is a
     false-position step, and an end kept twice in a row has its d halved
-    (Illinois). The search stops as soon as |d| < 1e-11, or after one last
-    step inside a bracket narrower than opts.f_tol: both ends of such a
-    bracket can still carry a |d| too large for the KKT check, while a
-    false-position step inside it lands on the sign change. Returns the
-    feasible evaluation with the smallest |d|, or None when no split is
-    feasible.
+    (Illinois). The search stops as soon as |d| is below 1e-11 times
+    |mean_dup| + |mean_ddn|, a bound that scales with the energies as the
+    gains do, or after one last step inside a bracket narrower than
+    opts.f_tol: both ends of such a bracket can still carry a |d| too
+    large for the KKT check, while a false-position step inside it lands
+    on the sign change. Returns the feasible evaluation with the smallest
+    |d|, or None when no split is feasible.
     """
     lo, hi = opts.f_lo, opts.f_hi
     d_lo, d_hi = -math.inf, math.inf
@@ -494,11 +448,12 @@ def _search_split(arr: _Arrays, lam: float, opts: SolverOptions, allowed,
                 secant = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
                 if lo < secant < hi:
                     f = secant
-        d, ev = _evaluate_split(arr, lam, f, opts, allowed, warm)
-        if ev is not None and abs(d) < best_d:
-            best, best_d = ev, abs(d)
-        if abs(d) < 1e-11:
-            break
+        d, ev = _evaluate_split(up, dn, lam, f, opts, allowed, warm)
+        if ev is not None:
+            if abs(d) < best_d:
+                best, best_d = ev, abs(d)
+            if abs(d) < 1e-11 * (abs(ev.mean_dup) + abs(ev.mean_ddn)):
+                break
         if d < 0.0:
             lo, d_lo = f, d
             if moved == -1:
@@ -520,7 +475,7 @@ def _search_split(arr: _Arrays, lam: float, opts: SolverOptions, allowed,
     return best
 
 
-def _optimize_split(arr: _Arrays, lam: float, opts: SolverOptions) -> _SplitEval:
+def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions) -> _SplitEval:
     """Cheapest split over the silent prefixes of the PNC states.
 
     Prefix k silences the k PNC states with the largest inverse-gain sum
@@ -532,15 +487,15 @@ def _optimize_split(arr: _Arrays, lam: float, opts: SolverOptions) -> _SplitEval
     that shrinks by one. Raises ValueError when no split is feasible.
     """
     warm: dict = {}
-    pnc = np.flatnonzero(arr.is_pnc)
-    order = pnc[np.argsort(arr.inv_ln2_sum[pnc], kind="stable")]
+    pnc = np.flatnonzero(up.o < 1.0)  # the only curves with a cost at rate 0
+    order = pnc[np.argsort(up.inv_qb[pnc], kind="stable")]
     found: dict[int, _SplitEval | None] = {}
 
     def energy(k: int) -> float:
         if k not in found:
-            allowed = np.ones(arr.n, dtype=bool)
+            allowed = np.ones(up.n, dtype=bool)
             allowed[order[:k]] = False
-            found[k] = (_search_split(arr, lam, opts, allowed if k else None, warm)
+            found[k] = (_search_split(up, dn, lam, opts, allowed if k else None, warm)
                         if allowed.any() else None)
         return math.inf if found[k] is None else found[k].energy
 
@@ -548,7 +503,7 @@ def _optimize_split(arr: _Arrays, lam: float, opts: SolverOptions) -> _SplitEval
         raise ValueError(
             f"no feasible time split in [{opts.f_lo}, {opts.f_hi}] for target {lam}")
     if opts.refine_uplink and order.size:
-        x_unit = arr.inv_ln2_sum[order]  # stationary x per unit of beta1
+        x_unit = up.inv_qb[order]  # stationary x per unit of beta1
         # jump near the best prefix first: at n = 1000 the walk alone would
         # step through the prefixes one split search at a time
         k = 0
@@ -588,23 +543,17 @@ def solve_beta1(states: Sequence[ChannelState], modes: Sequence[Mode],
     relative error of 1e-15 (`_solve_multiplier`). Target 0 returns 0;
     RuntimeError means the multiplier overflows float64.
     """
-    opts = opts or SolverOptions()
     _check_problem(states, modes, target_avg_rate)
-    if target_avg_rate == 0.0:
-        return 0.0
-    arr = _Arrays(states, modes)
-    return _solve_multiplier(lambda b: _uplink_rate_slope(arr, b), target_avg_rate, opts)
+    up = _uplink(states, modes)
+    return _solve_multiplier(lambda b: _rate_slope(up, b), target_avg_rate, opts or SolverOptions())
 
 
 def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
                 opts: SolverOptions | None = None) -> float:
     """Downlink counterpart of solve_beta1 (strategy-independent)."""
-    opts = opts or SolverOptions()
     _check_problem(states, None, target_avg_rate)
-    if target_avg_rate == 0.0:
-        return 0.0
-    arr = _Arrays(states, None)
-    return _solve_multiplier(lambda b: _downlink_rate_slope(arr, b), target_avg_rate, opts)
+    dn = _downlink(states)
+    return _solve_multiplier(lambda b: _rate_slope(dn, b), target_avg_rate, opts or SolverOptions())
 
 
 def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -627,15 +576,14 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
     if target_rate == 0.0:
         per = tuple(StateAllocation(m, 0.0, 0.0, 0.0, 0.0) for m in modes)
         return Allocation(TimeSplit(0.5, 0.5), per, KktPoint(0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
-    arr = _Arrays(states, modes)
-    ev = _optimize_split(arr, target_rate, opts)
+    ev = _optimize_split(_uplink(states, modes), _downlink(states), target_rate, opts)
     f_u = ev.f_u
     f_d = 1.0 - f_u
     p_u, p_d = ev.powers_u, ev.powers_d
     per = tuple(
         StateAllocation(modes[i], float(ev.rates_u[i]), float(ev.rates_d[i]),
                         float(p_u[i]), float(p_d[i]))
-        for i in range(arr.n))
+        for i in range(len(modes)))
     return Allocation(
         split=TimeSplit(f_u, f_d),
         per_state=per,
@@ -662,21 +610,16 @@ def kkt_residuals(alloc: Allocation, states: Sequence[ChannelState],
     _check_problem(states, modes, 0.0)
     if len(alloc.per_state) != len(states):
         raise ValueError(f"allocation covers {len(alloc.per_state)} states, got {len(states)}")
-    arr = _Arrays(states, modes)
-    r_u = np.array([sa.rate_u for sa in alloc.per_state], dtype=float)
-    r_d = np.array([sa.rate_d for sa in alloc.per_state], dtype=float)
-    active_u = r_u > 0.0
-    active_d = r_d > 0.0
-    slope_u = _uplink_power_slope(arr, r_u)
-    slope_d = _downlink_power_slope(arr, r_d)
-    up_rate = float(np.max(np.abs(slope_u - alloc.duals.beta1), where=active_u, initial=0.0))
-    dn_rate = float(np.max(np.abs(slope_d - alloc.duals.beta2), where=active_d, initial=0.0))
-    p_u = _uplink_powers(arr, r_u)
-    p_d = _downlink_powers(arr, r_d)
-    dup = np.where(active_u, p_u - r_u * slope_u, 0.0)
-    ddn = np.where(active_d, p_d - r_d * slope_d, 0.0)
-    mean_dup = float(np.mean(dup))
-    mean_ddn = float(np.mean(ddn))
+    rows = []
+    for ph, rates, beta in (
+            (_uplink(states, modes), [sa.rate_u for sa in alloc.per_state], alloc.duals.beta1),
+            (_downlink(states), [sa.rate_d for sa in alloc.per_state], alloc.duals.beta2)):
+        rates = np.array(rates, dtype=float)
+        active = rates > 0.0
+        _, slope, env = _powers(ph, rates)
+        rows.append((float(np.max(np.abs(slope - beta), where=active, initial=0.0)),
+                     float(env), tuple(int(i) for i in np.flatnonzero(~active))))
+    (up_rate, mean_dup, clamped_u), (dn_rate, mean_ddn, clamped_d) = rows
     gamma = -mean_ddn
     return KktResiduals(
         uplink_rate=up_rate,
@@ -684,8 +627,8 @@ def kkt_residuals(alloc: Allocation, states: Sequence[ChannelState],
         uplink_time=abs(mean_dup + gamma),
         downlink_time=abs(mean_ddn + gamma),
         gamma=gamma,
-        clamped_uplink=tuple(int(i) for i in np.flatnonzero(~active_u)),
-        clamped_downlink=tuple(int(i) for i in np.flatnonzero(~active_d)),
+        clamped_uplink=clamped_u,
+        clamped_downlink=clamped_d,
     )
 
 
@@ -700,20 +643,18 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
     where a PNC state leaves its clamp, so the scan can show several local
     minima.
     """
-    opts = opts or SolverOptions()
     _check_problem(states, modes, target_rate)
-    arr = _Arrays(states, modes)
     f = np.asarray(f_values, dtype=float)
     if np.any((f <= 0.0) | (f >= 1.0)):
         raise ValueError("grid fractions must lie strictly inside (0, 1)")
     if target_rate == 0.0:
         return np.zeros_like(f)
 
-    def solve_vec(targets, rate_fn):
+    def solve_vec(ph, targets):
         m = targets.shape[0]
         hi = np.ones(m)
         for _ in range(400):
-            mean = rate_fn(hi[:, None]).mean(axis=1)
+            mean = _rates(ph, hi[:, None]).mean(axis=1)
             need = mean < targets
             if not need.any():
                 break
@@ -723,19 +664,17 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
         lo = np.zeros(m)
         for _ in range(160):
             mid = 0.5 * (lo + hi)
-            mean = rate_fn(mid[:, None]).mean(axis=1)
+            mean = _rates(ph, mid[:, None]).mean(axis=1)
             under = mean < targets
             lo = np.where(under, mid, lo)
             hi = np.where(under, hi, mid)
         return 0.5 * (lo + hi)
 
-    b1 = solve_vec(target_rate / f, lambda bb: _uplink_rates(arr, bb))
-    b2 = solve_vec(target_rate / (1.0 - f), lambda bb: _downlink_rates(arr, bb))
-    r_u = _uplink_rates(arr, b1[:, None])
-    r_d = _downlink_rates(arr, b2[:, None])
-    p_u = _uplink_powers(arr, r_u).mean(axis=1)
-    p_d = _downlink_powers(arr, r_d).mean(axis=1)
-    return f * p_u + (1.0 - f) * p_d
+    energy = 0.0
+    for ph, g in ((_uplink(states, modes), f), (_downlink(states), 1.0 - f)):
+        rates = _rates(ph, solve_vec(ph, target_rate / g)[:, None])
+        energy = energy + g * _powers(ph, rates)[0].mean(axis=1)
+    return energy
 
 
 def perspective_energy(state: ChannelState, mode: Mode):
@@ -746,18 +685,14 @@ def perspective_energy(state: ChannelState, mode: Mode):
     applied here; convexity probes exercise the smooth expression itself.
     """
     if mode is Mode.PNC:
-        s = 1.0 / state.g1r + 1.0 / state.g2r
-        return lambda t, f: f * (2.0 ** (t / f) - 0.5) * s
-    g_mr, g_Mr = state.g_mr, state.g_Mr
-
-    def theta(t, f):
-        x = 2.0 ** (t / f)
-        return f * ((x - 1.0) / g_mr + x * (x - 1.0) / g_Mr)
-
-    return theta
+        return _perspective(pnc_curve(state.g1r, state.g2r))
+    return _perspective(dnc_curve(state.g_mr, state.g_Mr))
 
 
 def perspective_downlink_energy(state: ChannelState):
     """Scaled-phase broadcast energy (T, f) -> f * (2^(T/f) - 1)/g_rm."""
-    g = state.g_rm
-    return lambda t, f: f * (2.0 ** (t / f) - 1.0) / g
+    return _perspective(broadcast_curve(state.g_rm))
+
+
+def _perspective(curve):
+    return lambda t, f: f * curve_power(2.0 ** (t / f), *curve)

@@ -6,6 +6,10 @@ superposition-coding digital network coding (SPC-DNC), decoding both
 packets separately and re-encoding their XOR. The downlink broadcast is
 identical under both. All formulas assume unit noise power and symmetric
 exchange rate R in bits per channel use.
+
+With x = 2^R every power here is a (x - o) + b x (x - 1) (`curve_power`)
+with the coefficients of `pnc_curve`, `dnc_curve` or `broadcast_curve`;
+the solver in `allocation` works on the same coefficients.
 """
 
 from __future__ import annotations
@@ -40,6 +44,30 @@ def pnc_uplink_rate(snr: float) -> float:
     return max(0.0, math.log2(0.5 + snr))
 
 
+def pnc_curve(g1r, g2r):
+    """Coefficients (a, o, b) of the PNC sum power; elementwise on arrays."""
+    return 1.0 / g1r + 1.0 / g2r, 0.5, 0.0
+
+
+def dnc_curve(g_mr, g_Mr):
+    """Coefficients (a, o, b) of the SPC-DNC sum power; elementwise on arrays."""
+    return 1.0 / g_mr, 1.0, 1.0 / g_Mr
+
+
+def broadcast_curve(g_rm):
+    """Coefficients (a, o, b) of the relay broadcast power; elementwise on arrays."""
+    return 1.0 / g_rm, 1.0, 0.0
+
+
+def curve_power(x, a, o, b):
+    """Power a (x - o) + b x (x - 1) at x = 2^R on the curve (a, o, b).
+
+    The quadratic term is evaluated left to right, so b = 0 gives 0 rather
+    than 0 * inf where x (x - 1) overflows.
+    """
+    return a * (x - o) + b * x * (x - 1.0)
+
+
 def pnc_uplink_sum_power(rate: float, state: ChannelState) -> float:
     """Total source power for the PNC uplink at symmetric rate `rate`.
 
@@ -47,7 +75,7 @@ def pnc_uplink_sum_power(rate: float, state: ChannelState) -> float:
     2^R - 1/2, so the sum is (2^R - 1/2) * (1/g1r + 1/g2r).
     """
     _check_rate(rate)
-    return (2.0 ** rate - 0.5) * (1.0 / state.g1r + 1.0 / state.g2r)
+    return curve_power(2.0 ** rate, *pnc_curve(state.g1r, state.g2r))
 
 
 def dnc_uplink_user_powers(rate: float, state: ChannelState) -> tuple[float, float]:
@@ -61,7 +89,8 @@ def dnc_uplink_user_powers(rate: float, state: ChannelState) -> tuple[float, flo
     """
     _check_rate(rate)
     x = 2.0 ** rate
-    return (x - 1.0) / state.g_mr, x * (x - 1.0) / state.g_Mr
+    a, o, b = dnc_curve(state.g_mr, state.g_Mr)
+    return curve_power(x, a, o, 0.0), curve_power(x, 0.0, o, b)
 
 
 def dnc_uplink_sum_power(rate: float, state: ChannelState) -> float:
@@ -78,7 +107,7 @@ def downlink_power(rate: float, state: ChannelState) -> float:
     strategies.
     """
     _check_rate(rate)
-    return (2.0 ** rate - 1.0) / state.g_rm
+    return curve_power(2.0 ** rate, *broadcast_curve(state.g_rm))
 
 
 def energy_gap(rate: float, state: ChannelState) -> float:

@@ -29,6 +29,7 @@ from twrelay import (
     solve_beta2,
     solve_fixed_modes,
 )
+from twrelay.allocation import _downlink, _powers, _uplink
 
 LN2 = math.log(2.0)
 UNIT = ChannelState(1.0, 1.0, 1.0, 1.0)
@@ -141,6 +142,43 @@ def test_multiplier_overflow_is_a_runtime_error_without_warnings():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_mixed_linear_and_quadratic_curves_at_a_huge_multiplier():
+    # beta near 1e295: for the PNC state t = qb / sqrt(beta) squares to a
+    # subnormal, where the quadratic root loses digits (and doubles once
+    # t^2 underflows), so the linear curves must keep x = beta / qb
+    states = [ChannelState(1e12, 1e12, 1e12, 1e12)] * 2
+    b1 = solve_beta1(states, [Mode.PNC, Mode.SPCDNC], 764.0)
+    assert 1e284 < b1 < math.inf
+    rates = [pnc_rate_given_beta1(b1, states[0]), dnc_rate_given_beta1(b1, states[1])]
+    assert abs(np.mean(rates) - 764.0) <= 1e-12 * 764.0
+
+
+# ----------------------------------------------------------- power curves
+
+def test_public_powers_and_slopes_are_the_cores():
+    rng = np.random.default_rng(91)
+    n = 200
+    states = [ChannelState(*(float(g) for g in 10.0 ** rng.uniform(-3.0, 3.0, 4)))
+              for _ in range(n)]
+    modes = [Mode.PNC if rng.random() < 0.5 else Mode.SPCDNC for _ in range(n)]
+    rates = rng.uniform(1.0, 8.0, n)
+    up = np.array([(pnc_uplink_sum_power if m is Mode.PNC else dnc_uplink_sum_power)(float(r), s)
+                   for r, s, m in zip(rates, states, modes)])
+    dn = np.array([downlink_power(float(r), s) for r, s in zip(rates, states)])
+    # the public functions take x = 2.0 ** rate, the core np.exp2(rate); the
+    # same x gives the same power to the bit, and from rate 1 up a last-bit
+    # difference in x moves the power by a few ulps at most
+    same_x = np.array([2.0 ** float(r) for r in rates]) == np.exp2(rates)
+    assert same_x.mean() > 0.5
+    h = 1e-5
+    for phase, public in ((_uplink(states, modes), up), (_downlink(states), dn)):
+        p, slope, _ = _powers(phase, rates)
+        assert np.array_equal(p[same_x], public[same_x])
+        assert np.all(np.abs(p - public) <= 8.0 * np.spacing(public))
+        central = (_powers(phase, rates + h)[0] - _powers(phase, rates - h)[0]) / (2.0 * h)
+        assert np.all(np.abs(central - slope) <= 1e-6 * slope)
+
+
 # ------------------------------------------------------------- full solves
 
 def test_zero_target_allocation_is_silent():
@@ -200,6 +238,16 @@ def test_powers_are_linked_to_rates():
             want = downlink_power(sa.rate_d, s)
             assert abs(sa.power_d - want) <= 1e-12 * want
     assert clamped > 0  # the low target should shut some weak states off
+
+
+@pytest.mark.parametrize("mode", [Mode.PNC, Mode.SPCDNC])
+def test_energy_scales_inversely_with_the_gains(mode):
+    # with every gain equal to g the optimum is the unit-gain one over g, so
+    # the split search must not stop on an absolute threshold
+    ref = solve_fixed_modes([UNIT], [mode], 1.0).avg_energy
+    for g in (1e-12, 1e10, 1e12):
+        energy = solve_fixed_modes([ChannelState(g, g, g, g)], [mode], 1.0).avg_energy
+        assert abs(energy * g - ref) <= 1e-9 * ref, g
 
 
 def test_silent_pnc_states_beat_plain_water_filling():

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from twrelay import load_states, sample_states, save_states
+from twrelay import ChannelState, load_states, sample_states, save_states
 from twrelay.cli import (
     ConfigError,
     ExperimentConfig,
@@ -152,6 +152,20 @@ def test_solve_emits_a_stable_json_schedule(tmp_path, capsys):
     assert doc["f_u"] + doc["f_d"] == pytest.approx(1.0)
     # keys come out sorted so reruns diff cleanly
     assert list(doc) == sorted(doc)
+
+
+def test_large_target_solve_prints_no_overflow_warning(tmp_path):
+    # some probes of the SPC-DNC start have a finite power whose slope
+    # overflows float64
+    states_path, out = tmp_path / "one.csv", tmp_path / "one.json"
+    save_states([ChannelState(1.0, 1.0, 1.0, 1.0)], states_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["solve", "--states", str(states_path), "--lambda", "300",
+                   "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["avg_energy"] == 5.86999423204e+180
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_solve_needs_exactly_one_lambda(tmp_path, capsys):
