@@ -15,8 +15,8 @@ rate is the stationary point of its power curve at a common multiplier,
 clamped at zero, and the multiplier is found by safeguarded Newton steps
 in its logarithm on the average rate (`_solve_multiplier`). The scalar time
 split is the sign change of the reduced derivative, which the envelope
-theorem gives exactly from the per-state terms; Illinois false position
-finds it (`_search_split`).
+theorem gives exactly from the per-state terms, and so is its slope
+(`_evaluate_split`); bracketed Newton steps find it (`_search_split`).
 
 Both phases run through one water-filling core. With x = 2^rate every
 state's power is a (x - o) + b x (x - 1), with the coefficients from
@@ -47,7 +47,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,9 +156,10 @@ class SolverOptions:
     """Tolerances and switches of the allocation solver.
 
     rate_rtol: relative tolerance on the average rate of the multiplier
-        solves; up to 3 Newton steps past it take the error to 1e-15.
+        solves; up to 3 Newton steps past it take the error to 1e-15. Below
+        1, so that a probe with every state silent never counts as close.
     f_tol: split-search bracket width on the uplink fraction, below which
-        one last false-position step ends the search.
+        one last Newton step ends the search.
     f_lo, f_hi: search interval for the uplink fraction.
     max_bisect_iter: step cap of one multiplier solve (exceeded means error).
     refine_uplink: search the silent prefixes of the PNC states (see module
@@ -173,8 +174,8 @@ class SolverOptions:
     refine_uplink: bool = True
 
     def __post_init__(self):
-        if not (self.rate_rtol > 0.0 and self.f_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rate_rtol < 1.0 and self.f_tol > 0.0):
+            raise ValueError("need 0 < rate_rtol < 1 and f_tol > 0")
         if not (0.0 < self.f_lo < self.f_hi < 1.0):
             raise ValueError("need 0 < f_lo < f_hi < 1")
         if self.max_bisect_iter < 1:
@@ -285,7 +286,7 @@ def _rate_slope(ph: _Phase, beta: float, allowed=None):
     if allowed is not None:
         r *= allowed
     if ph.all_linear:
-        slope = np.count_nonzero(r) / LN2
+        slope = int(np.count_nonzero(r)) / LN2  # a float, so d' overflows to inf quietly
     else:
         qx = ph.qa * x
         slope = float(((qx + ph.qb) / ((2.0 * qx + ph.qb) * LN2)).sum(where=r > 0.0))
@@ -310,34 +311,34 @@ def _powers(ph: _Phase, rates):
     return p, slope, env
 
 
-def _solve_multiplier(rate_slope: Callable[[float], tuple[float, float]], target: float,
-                      opts: SolverOptions, hint: float | None = None) -> float:
+def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=None,
+                      hint: float | None = None) -> tuple[float, float]:
     """Solve mean_rate(beta) = target for beta >= 0 by Newton steps in u = ln beta.
 
-    rate_slope(beta) gives the mean rate and its slope in u. The rate is
+    `_rate_slope` gives the mean rate and its slope in u. The rate is
     nondecreasing in u, and for PNC and downlink states linear in u between
     the points where a state leaves its clamp, where a step is exact. Steps
     start at the hint (a neighbouring solve's multiplier) or at 1; one that
     leaves the bracket of points below and above the target becomes a
     factor 4 while that side is open, else the geometric midpoint. The
     search stops at a rate error of 1e-15 relative, or 3 steps after it is
-    within opts.rate_rtol, or where a step no longer moves beta. Raises
-    RuntimeError when beta would overflow float64 or after
-    opts.max_bisect_iter steps.
+    within opts.rate_rtol, or where a step no longer moves beta. Returns
+    beta and the slope at beta (0 for target 0). Raises RuntimeError when
+    beta would overflow float64 or after opts.max_bisect_iter steps.
     """
     if target <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     beta = hint if hint is not None and 0.0 < hint < math.inf else 1.0
     lo, hi = 0.0, math.inf
     polish = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(opts.max_bisect_iter):
-            rate, slope = rate_slope(beta)
+            rate, slope = _rate_slope(ph, beta, allowed)
             err = rate - target
             close = abs(err) <= opts.rate_rtol * target
             polish += close
             if polish > 3 or abs(err) <= 1e-15 * target:
-                return beta
+                return beta, slope
             if err < 0.0:
                 lo = beta
             else:
@@ -346,7 +347,7 @@ def _solve_multiplier(rate_slope: Callable[[float], tuple[float, float]], target
             nxt = beta * math.exp(min(step, 709.0))
             if not lo < nxt < hi:
                 if close:
-                    return beta  # no Newton step left inside the bracket
+                    return beta, slope  # no Newton step left inside the bracket
                 if 0.0 < lo and hi < math.inf:
                     nxt = math.sqrt(lo) * math.sqrt(hi)
                 else:
@@ -360,16 +361,17 @@ def _solve_multiplier(rate_slope: Callable[[float], tuple[float, float]], target
 
 
 def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, allowed, hint):
-    """Multiplier, rates, powers and mean envelope term meeting the average-rate target.
+    """Multiplier, rates, powers, mean envelope term and curvature at the rate target.
 
     States outside `allowed` (None means every state) stay silent; the rest
-    follow the clamped stationary map. Raises RuntimeError when the
-    multiplier or a power overflows float64.
+    follow the clamped stationary map. The phase's least mean power U has
+    U' = beta, so its curvature is U'' = beta / slope. Raises RuntimeError
+    when the multiplier or a power overflows float64.
     """
-    beta = _solve_multiplier(lambda b: _rate_slope(ph, b, allowed), target, opts, hint)
+    beta, slope = _solve_multiplier(ph, target, opts, allowed, hint)
     rates = _rates(ph, beta, allowed)
     p, _, env = _powers(ph, rates)
-    return beta, rates, p, float(env)
+    return beta, rates, p, float(env), beta / slope
 
 
 _SplitEval = namedtuple(
@@ -380,22 +382,24 @@ _SplitEval = namedtuple(
 
 def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: SolverOptions,
                     allowed, warm: dict):
-    """Solve both phases at a fixed split: (envelope derivative, evaluation).
+    """Solve both phases at a fixed split: (derivative d, its slope, evaluation).
 
-    The derivative of the reduced objective in f_u is mean_dup - mean_ddn.
-    A phase that overflows gives no evaluation and an infinite derivative
-    pointing away from it: an uplink overflow means f_u is too small (every
+    d = mean_dup - mean_ddn is the derivative of the reduced objective in
+    f_u. Each phase costs the perspective f U(lam / f) of its least mean
+    power U, so d' = lam^2 (kappa1 / f_u^3 + kappa2 / f_d^3) with kappa = U''.
+    A phase that overflows gives no evaluation, a NaN slope and an infinite
+    d pointing away from it: an uplink overflow means f_u is too small (every
     smaller f_u overflows too), a downlink overflow means it is too large.
     """
     f_d = 1.0 - f_u
     try:
-        beta1, r_u, p_u, dup = _solve_phase(up, lam / f_u, opts, allowed, warm.get("b1"))
+        beta1, r_u, p_u, dup, k1 = _solve_phase(up, lam / f_u, opts, allowed, warm.get("b1"))
     except RuntimeError:
-        return -math.inf, None
+        return -math.inf, math.nan, None
     try:
-        beta2, r_d, p_d, ddn = _solve_phase(dn, lam / f_d, opts, None, warm.get("b2"))
+        beta2, r_d, p_d, ddn, k2 = _solve_phase(dn, lam / f_d, opts, None, warm.get("b2"))
     except RuntimeError:
-        return math.inf, None
+        return math.inf, math.nan, None
     warm["b1"], warm["b2"] = beta1, beta2
     ev = _SplitEval(
         f_u=f_u,
@@ -409,67 +413,50 @@ def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: Solver
         mean_dup=dup,
         mean_ddn=ddn,
     )
-    return ev.mean_dup - ev.mean_ddn, ev
+    return dup - ddn, lam * lam * (k1 / f_u ** 3 + k2 / f_d ** 3), ev
 
 
 def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allowed,
                   warm: dict) -> _SplitEval | None:
-    """Stationary split for a fixed silent set, by Illinois false position.
+    """Stationary split for a fixed silent set, by bracketed Newton steps.
 
-    With the silent set fixed the reduced objective is convex in f_u, so
-    its minimizer is the sign change of the envelope derivative d. The
-    bracket starts as [f_lo, f_hi] with d taken as -inf and +inf at its
-    ends, so a boundary minimum is approached to within f_tol. A search
-    after the first probes the last one's split, warm["f_u"], then steps
-    towards the sign change by 1e-2, 4e-2, ... from it until d changes sign
-    or the step leaves the bracket. While an end is infinite (never probed,
-    or its phase overflowed) the step bisects; otherwise it is a
-    false-position step, and an end kept twice in a row has its d halved
-    (Illinois). The search stops as soon as |d| is below 1e-11 times
-    |mean_dup| + |mean_ddn|, a bound that scales with the energies as the
-    gains do, or after one last step inside a bracket narrower than
-    opts.f_tol: both ends of such a bracket can still carry a |d| too
-    large for the KKT check, while a false-position step inside it lands
-    on the sign change. Returns the feasible evaluation with the smallest
-    |d|, or None when no split is feasible.
+    With the silent set fixed the reduced objective is convex in f_u; its
+    minimizer is the sign change of d, whose slope `_evaluate_split` gives.
+    Steps start at the last search's split, warm["f_u"], or mid-interval,
+    and each probe moves one end of the bracket [f_lo, f_hi] to it by the
+    sign of d. A step that leaves the bracket, has no finite positive slope
+    (d' can overflow before the powers do), or comes while |d| has not
+    halved over two probes (a jump in d can cycle the steps) bisects
+    instead. The search stops at |d| < 1e-11 (|mean_dup| + |mean_ddn|),
+    which scales with the gains, at a step below 1e-15 f, or after one last
+    step inside a bracket narrower than opts.f_tol, whose ends can still
+    carry a |d| too large for the KKT check. Returns the feasible evaluation
+    with the smallest |d|, or None when no split is feasible.
     """
     lo, hi = opts.f_lo, opts.f_hi
-    d_lo, d_hi = -math.inf, math.inf
     best, best_d = None, math.inf
-    moved = 0  # which end the last step replaced: -1 lo, +1 hi
-    start = f = warm.get("f_u")
-    width = 1e-2
+    f = warm.get("f_u", 0.5 * (lo + hi))
+    d_before = d_last = math.inf  # |d| two probes back and one probe back
     last = False
     while not last:
         last = hi - lo < opts.f_tol
-        if f is None:
-            f = 0.5 * (lo + hi)
-            if math.isfinite(d_lo) and math.isfinite(d_hi):
-                secant = (lo * d_hi - hi * d_lo) / (d_hi - d_lo)
-                if lo < secant < hi:
-                    f = secant
-        d, ev = _evaluate_split(up, dn, lam, f, opts, allowed, warm)
+        d, slope, ev = _evaluate_split(up, dn, lam, f, opts, allowed, warm)
         if ev is not None:
             if abs(d) < best_d:
                 best, best_d = ev, abs(d)
             if abs(d) < 1e-11 * (abs(ev.mean_dup) + abs(ev.mean_ddn)):
                 break
         if d < 0.0:
-            lo, d_lo = f, d
-            if moved == -1:
-                d_hi *= 0.5
-            moved = -1
+            lo = f
         else:
-            hi, d_hi = f, d
-            if moved == 1:
-                d_lo *= 0.5
-            moved = 1
-        f = None
-        if start is not None and not (math.isfinite(d_lo) and math.isfinite(d_hi)):
-            f = start - math.copysign(width, d)
-            width *= 4.0
-            if not lo < f < hi:
-                start = f = None
+            hi = f
+        step = d / slope if 0.0 < slope < math.inf else math.nan  # NaN bisects below
+        if abs(step) <= 1e-15 * f:
+            break
+        f -= step
+        if not (lo < f < hi and abs(d) <= 0.5 * d_before):
+            f = 0.5 * (lo + hi)
+        d_before, d_last = d_last, abs(d)
     if best is not None:
         warm["f_u"] = best.f_u
     return best
@@ -544,16 +531,14 @@ def solve_beta1(states: Sequence[ChannelState], modes: Sequence[Mode],
     RuntimeError means the multiplier overflows float64.
     """
     _check_problem(states, modes, target_avg_rate)
-    up = _uplink(states, modes)
-    return _solve_multiplier(lambda b: _rate_slope(up, b), target_avg_rate, opts or SolverOptions())
+    return _solve_multiplier(_uplink(states, modes), target_avg_rate, opts or SolverOptions())[0]
 
 
 def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
                 opts: SolverOptions | None = None) -> float:
     """Downlink counterpart of solve_beta1 (strategy-independent)."""
     _check_problem(states, None, target_avg_rate)
-    dn = _downlink(states)
-    return _solve_multiplier(lambda b: _rate_slope(dn, b), target_avg_rate, opts or SolverOptions())
+    return _solve_multiplier(_downlink(states), target_avg_rate, opts or SolverOptions())[0]
 
 
 def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -563,7 +548,7 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
     A zero target is served by the all-silent allocation with the frame
     split evenly by convention. Otherwise the two phases are solved by
     Newton steps on their multipliers for each candidate split, and the
-    split by false position on the reduced derivative over
+    split by bracketed Newton steps on the reduced derivative over
     [opts.f_lo, opts.f_hi] with f_d = 1 - f_u, once per silent PNC prefix
     tried, each search after the first starting from the split of the one
     before; giving any slack to the downlink never

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -30,6 +31,26 @@ DEFAULT_LAMBDAS = tuple(0.25 * k for k in range(1, 13))
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A JSON number of `kind`; bools are not, though Python counts them as ints."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """An integer field: bools and floats are refused, not truncated."""
+    if not _is_number(value, numbers.Integral):
+        raise ConfigError(f"config field '{name}' must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"config field '{name}' must be >= {least}, got {value!r}")
+
+
+def _check_positive(name: str, value, below: float = math.inf) -> None:
+    """A positive finite number, and below `below` where that is given."""
+    if not (_is_number(value) and 0 < value < below):
+        bound = "" if below == math.inf else f" and below {below:g}"
+        raise ConfigError(f"config field '{name}' must be positive{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,14 +75,21 @@ class ExperimentConfig:
         if not self.lambdas:
             raise ConfigError("config field 'lambdas' must be a non-empty list")
         for v in self.lambdas:
-            if not (isinstance(v, (int, float)) and v >= 0 and math.isfinite(v)):
+            if not (_is_number(v) and 0 <= v < math.inf):
                 raise ConfigError(f"config field 'lambdas' must hold nonnegative numbers, got {v!r}")
-        if self.n_states < 1:
-            raise ConfigError(f"config field 'n_states' must be >= 1, got {self.n_states!r}")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ConfigError(f"config field 'epsilon' must be positive, got {self.epsilon!r}")
-        if self.max_iter < 1:
-            raise ConfigError(f"config field 'max_iter' must be >= 1, got {self.max_iter!r}")
+        _check_int("n_states", self.n_states, 1)
+        _check_int("seed", self.seed, 0)
+        _check_positive("epsilon", self.epsilon)
+        _check_positive("tolerances.rate_rtol", self.rate_rtol, below=1.0)
+        _check_positive("tolerances.f_tol", self.f_tol)
+        _check_int("max_iter", self.max_iter, 1)
+        for name in ("states_path", "output"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"config field '{name}' must be a path or null, "
+                                  f"got {getattr(self, name)!r}")
+        if not isinstance(self.reciprocal, bool):
+            raise ConfigError(f"config field 'fading.reciprocal' must be true or false, "
+                              f"got {self.reciprocal!r}")
         if self.fading_kind not in (RAYLEIGH, DETERMINISTIC):
             raise ConfigError(f"config field 'fading.kind' must be '{RAYLEIGH}' or "
                               f"'{DETERMINISTIC}', got {self.fading_kind!r}")
@@ -80,13 +108,15 @@ class ExperimentConfig:
                     "max_iter", "output"):
             if key in raw:
                 kwargs[key] = raw[key]
+        if not isinstance(kwargs.get("lambdas", []), list):
+            raise ConfigError(f"config field 'lambdas' must be a list, got {raw['lambdas']!r}")
         fading = raw.get("fading", {})
         if not isinstance(fading, dict):
             raise ConfigError("config field 'fading' must be an object")
         if "kind" in fading:
             kwargs["fading_kind"] = fading["kind"]
         if "reciprocal" in fading:
-            kwargs["reciprocal"] = bool(fading["reciprocal"])
+            kwargs["reciprocal"] = fading["reciprocal"]
         if "init_mode" in raw:
             try:
                 kwargs["init_mode"] = Mode(raw["init_mode"])

@@ -29,7 +29,9 @@ from twrelay import (
     solve_beta2,
     solve_fixed_modes,
 )
-from twrelay.allocation import _downlink, _powers, _uplink
+from twrelay import allocation
+from twrelay.allocation import _downlink, _evaluate_split, _powers, _uplink
+from twrelay.cli import ExperimentConfig, run_sweep
 
 LN2 = math.log(2.0)
 UNIT = ChannelState(1.0, 1.0, 1.0, 1.0)
@@ -398,6 +400,58 @@ def test_scan_rejects_fractions_outside_the_open_interval():
         scan_split_energies([UNIT], [Mode.PNC], 0.5, [0.0, 0.5])
 
 
+def test_split_slope_matches_a_central_difference():
+    # d' = lam^2 (kappa1 / f_u^3 + kappa2 / f_d^3), with each phase's
+    # kappa = beta / slope taken from its own multiplier solve
+    rng = np.random.default_rng(12)
+    opts, h = SolverOptions(), 1e-5
+    for trial in range(40):
+        states, modes = rand_instance(rng, int(rng.integers(1, 51)))
+        lam = float(rng.uniform(0.3, 2.5))
+        f = float(rng.uniform(0.3, 0.7))
+        up, dn = _uplink(states, modes), _downlink(states)
+        _, slope, _ = _evaluate_split(up, dn, lam, f, opts, None, {})
+        d_plus = _evaluate_split(up, dn, lam, f + h, opts, None, {})[0]
+        d_minus = _evaluate_split(up, dn, lam, f - h, opts, None, {})[0]
+        central = (d_plus - d_minus) / (2.0 * h)
+        assert abs(slope - central) <= 1e-6 * slope, (trial, slope, central)
+
+
+def test_split_search_work_on_the_default_sweep(monkeypatch):
+    # the Newton steps take a handful of evaluations per split search
+    counts = {"_search_split": 0, "_evaluate_split": 0}
+
+    def counted(name):
+        inner = getattr(allocation, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(allocation, name, wrapper)
+
+    counted("_search_split")
+    counted("_evaluate_split")
+    run_sweep(ExperimentConfig())
+    assert counts["_search_split"] == 166
+    assert counts["_evaluate_split"] <= 700
+
+
+def test_split_search_bisects_where_the_slope_overflows():
+    # near the float64 limit d' overflows while d and the powers stay
+    # finite; the search must bisect to the optimum, not stop at its first
+    # probe f_u = 0.5, whose energy is 6% above it
+    lam = 505.0
+    alloc = solve_fixed_modes([UNIT], [Mode.PNC], lam)
+    margin = lam / 1022.0  # beyond it a phase's power overflows
+    f = np.linspace(margin, 1.0 - margin, 200001)
+    energy = (allocation.perspective_energy(UNIT, Mode.PNC)(lam, f)
+              + allocation.perspective_downlink_energy(UNIT)(lam, 1.0 - f))
+    best = int(np.argmin(energy))
+    assert abs(alloc.split.f_u - f[best]) <= SolverOptions().f_tol
+    assert alloc.avg_energy <= energy[best] * (1.0 + 1e-7)
+
+
 # ------------------------------------------------------------------ errors
 
 def test_mismatched_modes_rejected():
@@ -415,6 +469,8 @@ def test_bad_solver_options_rejected():
         SolverOptions(f_lo=0.9, f_hi=0.1)
     with pytest.raises(ValueError):
         SolverOptions(rate_rtol=0.0)
+    with pytest.raises(ValueError, match="rate_rtol < 1"):
+        SolverOptions(rate_rtol=1.0)  # a silent probe would count as close
 
 
 def test_options_are_plain_data():

@@ -11,6 +11,8 @@ from twrelay.cli import (
     ConfigError,
     ExperimentConfig,
     SWEEP_HEADER,
+    battery_instances,
+    default_battery,
     main,
     run_sweep,
     run_validate,
@@ -42,6 +44,37 @@ def test_config_rejects_bad_values(field, value):
     kwargs = {"lambdas": (1.0,), field: value}
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field,raw", [
+    ("n_states", {"n_states": 2.5}),
+    ("n_states", {"n_states": True}),
+    ("seed", {"seed": 1.5}),
+    ("seed", {"seed": -1}),
+    ("seed", {"seed": True}),
+    ("max_iter", {"max_iter": 2.5}),
+    ("max_iter", {"max_iter": True}),
+    ("reciprocal", {"fading": {"reciprocal": "no"}}),
+    ("lambdas", {"lambdas": [True]}),
+    ("lambdas", {"lambdas": 5}),
+    ("epsilon", {"epsilon": "x"}),
+    ("epsilon", {"epsilon": True}),
+    ("rate_rtol", {"tolerances": {"rate_rtol": "x"}}),
+    ("rate_rtol", {"tolerances": {"rate_rtol": 1.0}}),
+    ("f_tol", {"tolerances": {"f_tol": True}}),
+    ("states_path", {"states_path": 5}),
+    ("output", {"output": 5}),
+])
+def test_config_input_types_are_checked(field, raw, capsys, tmp_path):
+    # a wrong JSON type is one named error line and exit 2, never a
+    # traceback or a silent cast
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"lambdas": [0.5], "n_states": 3, **raw}))
+    rc = main(["sweep", "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twrelay: config error:") and err.count("\n") == 1
+    assert field in err
 
 
 def test_dump_config_applies_flag_overrides(capsys, tmp_path):
@@ -245,3 +278,25 @@ def test_validate_exit_code_follows_the_battery(monkeypatch, capsys):
     rc = main(["validate"])
     assert rc == 1
     assert "FAIL stub" in capsys.readouterr().out
+
+
+def test_default_battery_runs_its_small_checks():
+    # 10 instances x 3 mode vectors, then 4 convexity probes; the n = 3-4
+    # oracle checks are left to criterion 04
+    instances = [(1101, 1, 0.25), (1102, 2, 0.5), (1103, 3, 1.0), (1104, 4, 0.25),
+                 (1105, 1, 0.5), (1106, 2, 1.0), (1107, 3, 0.25), (1108, 4, 0.5),
+                 (1109, 1, 1.0), (1110, 2, 0.25)]
+    assert battery_instances() == instances
+    agreement = [f"oracle-agreement[seed={seed},n={n},lam={lam:g},modes={label}]"
+                 for seed, n, lam in instances for label in ("pnc", "dnc", "mixed")]
+    convexity = ["convexity[pnc-uplink]", "convexity[dnc-uplink]", "convexity[downlink]",
+                 "convexity[negative-control]"]
+    battery = default_battery()
+    assert len(battery) == 34
+    assert [name for name, _ in battery] == agreement + convexity
+    checks = dict(battery)
+    small = [name for name in agreement if ",n=1," in name or ",n=2," in name]
+    assert len(small) == 18
+    for name in small + convexity:
+        passed, detail = checks[name]()
+        assert passed, (name, detail)
