@@ -13,10 +13,12 @@ energy into the perspective f * P(T/f) of a convex power curve, so the
 fixed-split problem is convex and separable across states: every state's
 rate is the stationary point of its power curve at a common multiplier,
 clamped at zero, and the multiplier is found by safeguarded Newton steps
-in its logarithm on the average rate (`_solve_multiplier`). The scalar time
-split is the sign change of the reduced derivative, which the envelope
-theorem gives exactly from the per-state terms, and so is its slope
-(`_evaluate_split`); bracketed Newton steps find it (`_search_split`).
+in its logarithm on the average rate (`_solve_multiplier`), the one solver
+of split probes, silent prefixes and scan points, each warm-started at the
+Newton step from the last solve on its phase. The scalar time split is the
+sign change of the reduced derivative, which the envelope theorem gives
+exactly from the per-state terms, and so is its slope (`_evaluate_split`);
+bracketed Newton steps find it (`_search_split`).
 
 Both phases run through one water-filling core. With x = 2^rate every
 state's power is a (x - o) + b x (x - 1), with the coefficients from
@@ -312,14 +314,15 @@ def _powers(ph: _Phase, rates):
 
 
 def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=None,
-                      hint: float | None = None) -> tuple[float, float]:
+                      warm: tuple[float, float, float] | None = None) -> tuple[float, float]:
     """Solve mean_rate(beta) = target for beta >= 0 by Newton steps in u = ln beta.
 
     `_rate_slope` gives the mean rate and its slope in u. The rate is
     nondecreasing in u, and for PNC and downlink states linear in u between
     the points where a state leaves its clamp, where a step is exact. Steps
-    start at the hint (a neighbouring solve's multiplier) or at 1; one that
-    leaves the bracket of points below and above the target becomes a
+    start at 1, or at the step beta0 exp((target - target0) / slope0) from a
+    neighbouring solve's `warm` = (target0, beta0, slope0); one that leaves
+    the bracket of points below and above the target becomes a
     factor 4 while that side is open, else the geometric midpoint. The
     search stops at a rate error of 1e-15 relative, or 3 steps after it is
     within opts.rate_rtol, or where a step no longer moves beta. Returns
@@ -328,7 +331,8 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=No
     """
     if target <= 0.0:
         return 0.0, 0.0
-    beta = hint if hint is not None and 0.0 < hint < math.inf else 1.0
+    t0, b0, s0 = warm or (target, 1.0, 1.0)
+    beta = min(b0 * math.exp(min((target - t0) / s0, 709.0)), _MAX) or b0  # b0 on underflow
     lo, hi = 0.0, math.inf
     polish = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -360,18 +364,17 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=No
     raise RuntimeError("multiplier search did not reach tolerance within the iteration cap")
 
 
-def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, allowed, hint):
-    """Multiplier, rates, powers, mean envelope term and curvature at the rate target.
+def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, allowed, warm):
+    """Multiplier, its rate slope, rates, powers and mean envelope term at the rate target.
 
     States outside `allowed` (None means every state) stay silent; the rest
-    follow the clamped stationary map. The phase's least mean power U has
-    U' = beta, so its curvature is U'' = beta / slope. Raises RuntimeError
-    when the multiplier or a power overflows float64.
+    follow the clamped stationary map. Raises RuntimeError when the
+    multiplier or a power overflows float64.
     """
-    beta, slope = _solve_multiplier(ph, target, opts, allowed, hint)
+    beta, slope = _solve_multiplier(ph, target, opts, allowed, warm)
     rates = _rates(ph, beta, allowed)
     p, _, env = _powers(ph, rates)
-    return beta, rates, p, float(env), beta / slope
+    return beta, slope, rates, p, float(env)
 
 
 _SplitEval = namedtuple(
@@ -382,25 +385,29 @@ _SplitEval = namedtuple(
 
 def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: SolverOptions,
                     allowed, warm: dict):
-    """Solve both phases at a fixed split: (derivative d, its slope, evaluation).
+    """Solve both phases at a fixed split: (derivative d, Newton step d / d', evaluation).
 
     d = mean_dup - mean_ddn is the derivative of the reduced objective in
     f_u. Each phase costs the perspective f U(lam / f) of its least mean
-    power U, so d' = lam^2 (kappa1 / f_u^3 + kappa2 / f_d^3) with kappa = U''.
-    A phase that overflows gives no evaluation, a NaN slope and an infinite
-    d pointing away from it: an uplink overflow means f_u is too small (every
-    smaller f_u overflows too), a downlink overflow means it is too large.
+    power U, so d' = lam^2 (kappa1 / f_u^3 + kappa2 / f_d^3) with kappa =
+    U'' = beta / slope; d' can overflow float64 where d does not, so both are
+    scaled by the larger beta's power of two before dividing. Each phase's
+    (target, beta, slope) goes into `warm` for the next solve. A phase that
+    overflows gives no evaluation, a NaN step and an infinite d pointing
+    away from it: an uplink overflow means f_u is too small (every smaller
+    f_u overflows too), a downlink overflow means it is too large.
     """
     f_d = 1.0 - f_u
+    t1, t2 = lam / f_u, lam / f_d
     try:
-        beta1, r_u, p_u, dup, k1 = _solve_phase(up, lam / f_u, opts, allowed, warm.get("b1"))
+        beta1, s1, r_u, p_u, dup = _solve_phase(up, t1, opts, allowed, warm.get("up"))
     except RuntimeError:
         return -math.inf, math.nan, None
     try:
-        beta2, r_d, p_d, ddn, k2 = _solve_phase(dn, lam / f_d, opts, None, warm.get("b2"))
+        beta2, s2, r_d, p_d, ddn = _solve_phase(dn, t2, opts, None, warm.get("dn"))
     except RuntimeError:
         return math.inf, math.nan, None
-    warm["b1"], warm["b2"] = beta1, beta2
+    warm["up"], warm["dn"] = (t1, beta1, s1), (t2, beta2, s2)
     ev = _SplitEval(
         f_u=f_u,
         energy=float(np.mean(f_u * p_u + f_d * p_d)),
@@ -413,7 +420,10 @@ def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: Solver
         mean_dup=dup,
         mean_ddn=ddn,
     )
-    return dup - ddn, lam * lam * (k1 / f_u ** 3 + k2 / f_d ** 3), ev
+    e = math.frexp(max(beta1, beta2))[1]
+    slope = lam * lam * (math.ldexp(beta1, -e) / s1 / f_u ** 3
+                         + math.ldexp(beta2, -e) / s2 / f_d ** 3)
+    return dup - ddn, math.ldexp(dup - ddn, -e) / slope, ev
 
 
 def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allowed,
@@ -421,26 +431,29 @@ def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allow
     """Stationary split for a fixed silent set, by bracketed Newton steps.
 
     With the silent set fixed the reduced objective is convex in f_u; its
-    minimizer is the sign change of d, whose slope `_evaluate_split` gives.
-    Steps start at the last search's split, warm["f_u"], or mid-interval,
-    and each probe moves one end of the bracket [f_lo, f_hi] to it by the
-    sign of d. A step that leaves the bracket, has no finite positive slope
-    (d' can overflow before the powers do), or comes while |d| has not
-    halved over two probes (a jump in d can cycle the steps) bisects
-    instead. The search stops at |d| < 1e-11 (|mean_dup| + |mean_ddn|),
-    which scales with the gains, at a step below 1e-15 f, or after one last
-    step inside a bracket narrower than opts.f_tol, whose ends can still
-    carry a |d| too large for the KKT check. Returns the feasible evaluation
-    with the smallest |d|, or None when no split is feasible.
+    minimizer is the sign change of d, whose Newton step `_evaluate_split`
+    gives. Steps start at the last search's split, warm["f_u"], or
+    mid-interval, and each probe moves one end of the bracket [f_lo, f_hi]
+    to it by the sign of d. A step past an end of [f_lo, f_hi] not yet
+    probed probes that end, where d pointing outward ends the search. A
+    step that otherwise leaves the bracket, is NaN (an infeasible probe), or
+    comes while |d| has not halved over two probes (a jump in d can cycle
+    the steps) bisects. The search stops at |d| < 1e-11 (|mean_dup| +
+    |mean_ddn|), which scales with the gains, at a step below 1e-15 f, or
+    after one last step inside a bracket narrower than opts.f_tol, whose
+    ends can still carry a |d| too large for the KKT check. Returns the
+    feasible evaluation with the smallest |d|, or None when none is.
     """
     lo, hi = opts.f_lo, opts.f_hi
+    unprobed = {lo, hi}
     best, best_d = None, math.inf
     f = warm.get("f_u", 0.5 * (lo + hi))
     d_before = d_last = math.inf  # |d| two probes back and one probe back
     last = False
     while not last:
         last = hi - lo < opts.f_tol
-        d, slope, ev = _evaluate_split(up, dn, lam, f, opts, allowed, warm)
+        d, step, ev = _evaluate_split(up, dn, lam, f, opts, allowed, warm)
+        unprobed.discard(f)
         if ev is not None:
             if abs(d) < best_d:
                 best, best_d = ev, abs(d)
@@ -450,11 +463,10 @@ def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allow
             lo = f
         else:
             hi = f
-        step = d / slope if 0.0 < slope < math.inf else math.nan  # NaN bisects below
-        if abs(step) <= 1e-15 * f:
+        if lo == hi or abs(step) <= 1e-15 * f:
             break
-        f -= step
-        if not (lo < f < hi and abs(d) <= 0.5 * d_before):
+        f = min(max(f - step, lo), hi)  # NaN stays NaN; an unprobed end gets probed
+        if f not in unprobed and not (lo < f < hi and abs(d) <= 0.5 * d_before):
             f = 0.5 * (lo + hi)
         d_before, d_last = d_last, abs(d)
     if best is not None:
@@ -620,44 +632,30 @@ def kkt_residuals(alloc: Allocation, states: Sequence[ChannelState],
 def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
                         target_rate: float, f_values,
                         opts: SolverOptions | None = None) -> np.ndarray:
-    """Reduced-objective energies on a grid of uplink fractions, vectorized.
+    """Reduced-objective energies on a grid of uplink fractions.
 
     Dense scans of the split objective for diagnostics. Uses the plain
     water-filling map (no PNC state forced silent), which is the objective
     solve_fixed_modes minimizes with refine_uplink=False. That map jumps
     where a PNC state leaves its clamp, so the scan can show several local
-    minima.
+    minima. Each point's multipliers are solved under `opts`, warm-started
+    from the point before, and the powers evaluated for all points at once.
+    Raises RuntimeError where a phase overflows or a solve runs out of steps.
     """
     _check_problem(states, modes, target_rate)
+    opts = opts or SolverOptions()
     f = np.asarray(f_values, dtype=float)
     if np.any((f <= 0.0) | (f >= 1.0)):
         raise ValueError("grid fractions must lie strictly inside (0, 1)")
     if target_rate == 0.0:
         return np.zeros_like(f)
-
-    def solve_vec(ph, targets):
-        m = targets.shape[0]
-        hi = np.ones(m)
-        for _ in range(400):
-            mean = _rates(ph, hi[:, None]).mean(axis=1)
-            need = mean < targets
-            if not need.any():
-                break
-            hi = np.where(need, hi * 4.0, hi)
-        else:
-            raise RuntimeError("multiplier bracket expansion failed in scan")
-        lo = np.zeros(m)
-        for _ in range(160):
-            mid = 0.5 * (lo + hi)
-            mean = _rates(ph, mid[:, None]).mean(axis=1)
-            under = mean < targets
-            lo = np.where(under, mid, lo)
-            hi = np.where(under, hi, mid)
-        return 0.5 * (lo + hi)
-
     energy = 0.0
     for ph, g in ((_uplink(states, modes), f), (_downlink(states), 1.0 - f)):
-        rates = _rates(ph, solve_vec(ph, target_rate / g)[:, None])
+        betas, warm = [], None
+        for target in (target_rate / g).tolist():
+            warm = (target, *_solve_multiplier(ph, target, opts, None, warm))
+            betas.append(warm[1])
+        rates = _rates(ph, np.array(betas)[:, None])
         energy = energy + g * _powers(ph, rates)[0].mean(axis=1)
     return energy
 

@@ -182,24 +182,26 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Both baselines plus the switching solution for every rate target.
 
     One shared channel draw serves the whole sweep so curves differ only
-    in the target. Rows come back ordered by target. Non-convergence is
-    visible as iterations == max_iter.
+    in the target. The switching loop's first solve is the init-mode
+    baseline; only the other one is solved apart. Rows come back ordered
+    by target. Non-convergence is visible as iterations == max_iter.
     """
     states = config.resolve_states()
     opts = config.solver_options()
     rows = []
     for lam in sorted(config.lambdas):
-        pnc_only = solve_baseline(states, lam, Mode.PNC, opts)
-        dnc_only = solve_baseline(states, lam, Mode.SPCDNC, opts)
         report = solve_switching(states, lam, epsilon=config.epsilon,
                                  max_iter=config.max_iter,
                                  init_mode=config.init_mode, opts=opts)
+        energy = {m: solve_baseline(states, lam, m, opts).avg_energy
+                  for m in Mode if m is not config.init_mode}
+        energy[config.init_mode] = report.energy_trace[0]
         n = len(states)
         rows.append(SweepRow(
             target_rate=lam,
             energy_switch=report.final.avg_energy,
-            energy_pnc_only=pnc_only.avg_energy,
-            energy_dnc_only=dnc_only.avg_energy,
+            energy_pnc_only=energy[Mode.PNC],
+            energy_dnc_only=energy[Mode.SPCDNC],
             f_u=report.final.split.f_u,
             iterations=report.iterations,
             pnc_state_fraction=report.mode_counts[0] / n,

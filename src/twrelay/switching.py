@@ -75,8 +75,9 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
     Every state starts in init_mode. Each round solves the fixed-assignment
     problem, reselects strategies at the allocated rates, and accepts the
     re-solve only if it does not increase energy; a re-solve that changes
-    no strategy, or fails to improve, terminates the iteration. A zero
-    target is trivially served silently at zero energy.
+    no strategy, or fails to improve, terminates the iteration. The first
+    solve is the init_mode baseline, bit for bit (`cli.run_sweep` reads it
+    from energy_trace[0]); a zero target stops there at zero energy.
     """
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
@@ -85,8 +86,6 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
     modes = [init_mode] * len(states)
     alloc = solve_fixed_modes(states, modes, target_rate, opts)
     trace = [alloc.avg_energy]
-    if target_rate == 0.0:
-        return _report(alloc, trace, epsilon, True)
     converged = False
     while not converged and len(trace) < max_iter:
         new_modes = _reselect(alloc, states, modes)

@@ -380,7 +380,9 @@ def test_zero_target_residuals_report_everything_clamped():
 
 def test_golden_section_matches_dense_scan():
     # the split search must land within one grid cell of a 10^4-point
-    # scan argmin
+    # scan argmin; the scan shares `_solve_multiplier` with the search, so
+    # this checks the split search, and the closed-form test below checks
+    # the multipliers both sides solve
     rng = np.random.default_rng(80)
     f_grid = np.linspace(0.02, 0.98, 10_000)
     spacing = f_grid[1] - f_grid[0]
@@ -400,9 +402,41 @@ def test_scan_rejects_fractions_outside_the_open_interval():
         scan_split_energies([UNIT], [Mode.PNC], 0.5, [0.0, 0.5])
 
 
+def test_scan_solves_its_multipliers_under_the_options():
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        scan_split_energies([UNIT], [Mode.PNC], 0.5, [0.3, 0.5],
+                            SolverOptions(max_bisect_iter=1))
+
+
+def test_scan_matches_the_solver_at_its_split():
+    rng = np.random.default_rng(33)
+    opts = SolverOptions(refine_uplink=False)
+    for trial in range(40):
+        states, modes = rand_instance(rng, int(rng.integers(1, 51)))
+        lam = float(rng.uniform(0.3, 2.5))
+        alloc = solve_fixed_modes(states, modes, lam, opts)
+        energy = scan_split_energies(states, modes, lam, [alloc.split.f_u], opts)[0]
+        assert abs(energy - alloc.avg_energy) <= 1e-12 * alloc.avg_energy, (trial, lam)
+
+
+def test_scan_matches_the_closed_form_energy_of_one_state():
+    # with one state its rates are the target over each phase's share, so
+    # the energy is the two perspectives, with no multiplier to solve
+    rng = np.random.default_rng(41)
+    f = np.linspace(0.05, 0.95, 19)
+    for trial in range(40):
+        states, modes = rand_instance(rng, 1)
+        lam = float(rng.uniform(0.3, 2.5))
+        energy = scan_split_energies(states, modes, lam, f)
+        exact = (allocation.perspective_energy(states[0], modes[0])(lam, f)
+                 + allocation.perspective_downlink_energy(states[0])(lam, 1.0 - f))
+        assert np.all(np.abs(energy - exact) <= 1e-12 * exact), (trial, lam)
+
+
 def test_split_slope_matches_a_central_difference():
     # d' = lam^2 (kappa1 / f_u^3 + kappa2 / f_d^3), with each phase's
-    # kappa = beta / slope taken from its own multiplier solve
+    # kappa = beta / slope taken from its own multiplier solve, comes back
+    # as the Newton step d / d'
     rng = np.random.default_rng(12)
     opts, h = SolverOptions(), 1e-5
     for trial in range(40):
@@ -410,7 +444,8 @@ def test_split_slope_matches_a_central_difference():
         lam = float(rng.uniform(0.3, 2.5))
         f = float(rng.uniform(0.3, 0.7))
         up, dn = _uplink(states, modes), _downlink(states)
-        _, slope, _ = _evaluate_split(up, dn, lam, f, opts, None, {})
+        d, step, _ = _evaluate_split(up, dn, lam, f, opts, None, {})
+        slope = d / step
         d_plus = _evaluate_split(up, dn, lam, f + h, opts, None, {})[0]
         d_minus = _evaluate_split(up, dn, lam, f - h, opts, None, {})[0]
         central = (d_plus - d_minus) / (2.0 * h)
@@ -418,8 +453,9 @@ def test_split_slope_matches_a_central_difference():
 
 
 def test_split_search_work_on_the_default_sweep(monkeypatch):
-    # the Newton steps take a handful of evaluations per split search
-    counts = {"_search_split": 0, "_evaluate_split": 0}
+    # the Newton steps take a handful of evaluations per split search, and
+    # each warm-started multiplier solve a pass or two
+    counts = {"_search_split": 0, "_evaluate_split": 0, "_rate_slope": 0}
 
     def counted(name):
         inner = getattr(allocation, name)
@@ -430,17 +466,32 @@ def test_split_search_work_on_the_default_sweep(monkeypatch):
 
         monkeypatch.setattr(allocation, name, wrapper)
 
-    counted("_search_split")
-    counted("_evaluate_split")
+    for name in counts:
+        counted(name)
     run_sweep(ExperimentConfig())
-    assert counts["_search_split"] == 166
-    assert counts["_evaluate_split"] <= 700
+    assert counts["_search_split"] == 154
+    assert counts["_evaluate_split"] <= 600
+    assert counts["_rate_slope"] <= 2100
+
+
+@pytest.mark.parametrize("gains, end", [((1e4, 1e4, 1e-4, 1e-4), "f_lo"),
+                                        ((1e-4, 1e-4, 1e4, 1e4), "f_hi")])
+def test_split_search_returns_a_boundary_optimum_exactly(monkeypatch, gains, end):
+    # d keeps one sign over the whole interval, so the optimum is the end
+    # itself; bisecting toward it took 21 evaluations and stopped short
+    calls = []
+    inner = allocation._evaluate_split
+    monkeypatch.setattr(allocation, "_evaluate_split", lambda *a: calls.append(a) or inner(*a))
+    alloc = solve_fixed_modes([ChannelState(*gains)], [Mode.SPCDNC], 1e-3)
+    assert alloc.split.f_u == getattr(SolverOptions(), end)
+    assert len(calls) <= 5
 
 
 def test_split_search_bisects_where_the_slope_overflows():
     # near the float64 limit d' overflows while d and the powers stay
-    # finite; the search must bisect to the optimum, not stop at its first
-    # probe f_u = 0.5, whose energy is 6% above it
+    # finite; scaled by a common power of two, the Newton step still
+    # reaches the optimum instead of stopping at its first probe f_u = 0.5,
+    # whose energy is 6% above it
     lam = 505.0
     alloc = solve_fixed_modes([UNIT], [Mode.PNC], lam)
     margin = lam / 1022.0  # beyond it a phase's power overflows
@@ -449,7 +500,7 @@ def test_split_search_bisects_where_the_slope_overflows():
               + allocation.perspective_downlink_energy(UNIT)(lam, 1.0 - f))
     best = int(np.argmin(energy))
     assert abs(alloc.split.f_u - f[best]) <= SolverOptions().f_tol
-    assert alloc.avg_energy <= energy[best] * (1.0 + 1e-7)
+    assert alloc.avg_energy <= energy[best] * (1.0 + 1e-9)
 
 
 # ------------------------------------------------------------------ errors

@@ -35,6 +35,15 @@ def test_seed7_high_rate_regression(seed7_states):
     assert abs(rep.energy_trace[0] - dnc.avg_energy) <= 1e-12 * dnc.avg_energy
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_first_trace_entry_is_the_init_mode_baseline(mode):
+    # the sweep reads this baseline from the trace instead of solving it twice
+    states = sample_states(60, 5)
+    for lam in (0.25, 1.0, 3.0):
+        rep = solve_switching(states, lam, init_mode=mode)
+        assert rep.energy_trace[0] == solve_baseline(states, lam, mode).avg_energy
+
+
 def test_trace_never_increases(seed7_states):
     for lam in (0.5, 2.0):
         rep = solve_switching(seed7_states, lam)
