@@ -10,12 +10,12 @@ average exchange-rate target at least average energy.
 """
 
 from .allocation import (Allocation, KktPoint, KktResiduals, SolverOptions,
-                         StateAllocation, TimeSplit, dnc_rate_given_beta1,
+                         StateAllocation, StateAllocations, TimeSplit, dnc_rate_given_beta1,
                          downlink_rate_given_beta2, kkt_residuals,
                          perspective_downlink_energy, perspective_energy,
                          pnc_rate_given_beta1, scan_split_energies, solve_beta1,
                          solve_beta2, solve_fixed_modes)
-from .channel import (ChannelState, FadingModel, load_states, sample_states,
+from .channel import (ChannelState, FadingModel, States, load_states, sample_states,
                       save_states)
 from .oracle import (GridSpec, OracleResult, ProbeResult,
                      brute_force_fixed_modes, midpoint_convexity_probe)
@@ -38,6 +38,8 @@ __all__ = [
     "ProbeResult",
     "SolverOptions",
     "StateAllocation",
+    "StateAllocations",
+    "States",
     "SwitchReport",
     "TimeSplit",
     "brute_force_fixed_modes",

@@ -39,6 +39,11 @@ largest first, and that order does not depend on the multiplier. The
 silent prefix is chosen outside the split search, which is convex once the
 prefix is fixed (`_optimize_split`).
 
+The solvers take any sequence of `ChannelState`s and work on its columns
+(`channel.as_states`, free for a `States`), and an `Allocation` keeps its
+per-state schedule as columns too (`StateAllocations`), so a solve builds
+no per-state object; a `StateAllocation` is made only when one is indexed.
+
 Everything here is deterministic: fixed-order numpy reductions, fixed
 iteration schedules, no RNG. All inputs are treated as immutable.
 """
@@ -46,6 +51,7 @@ iteration schedules, no RNG. All inputs are treated as immutable.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -53,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelState
+from .channel import ChannelState, as_states
 from .ratepower import Mode, broadcast_curve, curve_power, dnc_curve, pnc_curve
 
 LN2 = math.log(2.0)
@@ -116,24 +122,90 @@ class StateAllocation:
             raise ValueError("rate_d and power_d must vanish together")
 
 
+class StateAllocations(Sequence[StateAllocation]):
+    """Per-state schedule as columns: a PNC mask and four read-only float64 arrays.
+
+    pnc marks the states whose uplink runs PNC; rate_u, rate_d, power_u and
+    power_d hold what `StateAllocation` holds, and its invariants are
+    checked on the whole columns, the first offending state giving the
+    error. As a sequence an index builds that state's `StateAllocation`, a
+    slice gives a `StateAllocations`, and it compares equal to any
+    sequence of equal items.
+    """
+
+    __slots__ = ("pnc", "rate_u", "rate_d", "power_u", "power_d")
+
+    def __init__(self, pnc, rate_u, rate_d, power_u, power_d):
+        self.pnc = np.array(pnc, dtype=bool)
+        self.rate_u, self.rate_d, self.power_u, self.power_d = (
+            np.array(v, dtype=float) for v in (rate_u, rate_d, power_u, power_d))
+        cols = (self.pnc, self.rate_u, self.rate_d, self.power_u, self.power_d)
+        if any(c.shape != self.pnc.shape for c in cols) or self.pnc.ndim != 1:
+            raise ValueError("per-state columns must be one-dimensional and of equal length")
+        for c in cols:
+            c.flags.writeable = False
+        nums = np.array(cols[1:])
+        bad = (~((nums >= 0.0) & (nums < math.inf)).all(axis=0)
+               | ((self.rate_u == 0.0) != (self.power_u == 0.0))
+               | ((self.rate_d == 0.0) != (self.power_d == 0.0)))
+        if bad.any():
+            self[int(bad.argmax())]  # raises StateAllocation's own error
+
+    @classmethod
+    def of(cls, per_state: Sequence[StateAllocation]) -> "StateAllocations":
+        """`per_state` as columns; a `StateAllocations` comes back as it is."""
+        if isinstance(per_state, StateAllocations):
+            return per_state
+        items = list(per_state)
+        return cls([sa.mode is Mode.PNC for sa in items],
+                   *([getattr(sa, name) for sa in items]
+                     for name in ("rate_u", "rate_d", "power_u", "power_d")))
+
+    def __len__(self) -> int:
+        return self.pnc.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return StateAllocations(*(c[key] for c in self._columns()))
+        i = operator.index(key)
+        return StateAllocation(Mode.PNC if self.pnc[i] else Mode.SPCDNC, float(self.rate_u[i]),
+                               float(self.rate_d[i]), float(self.power_u[i]),
+                               float(self.power_d[i]))
+
+    def _columns(self):
+        return self.pnc, self.rate_u, self.rate_d, self.power_u, self.power_d
+
+    def __eq__(self, other):
+        if isinstance(other, StateAllocations):
+            return all(np.array_equal(a, b)
+                       for a, b in zip(self._columns(), other._columns()))
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"StateAllocations(n={len(self)}, pnc={int(np.count_nonzero(self.pnc))})"
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Complete solution: split, per-state schedule, duals, and averages.
 
     avg_energy is the average energy per channel use,
     mean_n(f_u * power_u + f_d * power_d); avg_rate_u and avg_rate_d are
-    the time-scaled average rates f * mean(rate).
+    the time-scaled average rates f * mean(rate). per_state may be given as
+    any sequence of `StateAllocation`s and is kept as `StateAllocations`.
     """
 
     split: TimeSplit
-    per_state: tuple[StateAllocation, ...]
+    per_state: StateAllocations
     duals: KktPoint
     avg_energy: float
     avg_rate_u: float
     avg_rate_d: float
 
     def __post_init__(self):
-        object.__setattr__(self, "per_state", tuple(self.per_state))
+        object.__setattr__(self, "per_state", StateAllocations.of(self.per_state))
 
 
 @dataclass(frozen=True)
@@ -147,10 +219,31 @@ class KktResiduals:
     gamma: float
     clamped_uplink: tuple[int, ...]
     clamped_downlink: tuple[int, ...]
+    beta1: float
+    beta2: float
+    time_scale: float
 
     @property
     def worst(self) -> float:
+        """Largest residual, in the units of its condition."""
         return max(self.uplink_rate, self.downlink_rate, self.uplink_time, self.downlink_time)
+
+    @property
+    def worst_relative(self) -> float:
+        """Largest residual over its scale: beta1, beta2, or time_scale for the split.
+
+        A zero scale leaves the residual as it is. Unlike `worst` it does
+        not shrink with the energies, so a wrong split at large gains
+        still shows.
+        """
+        return max(_relative(self.uplink_rate, self.beta1),
+                   _relative(self.downlink_rate, self.beta2),
+                   _relative(self.uplink_time, self.time_scale),
+                   _relative(self.downlink_time, self.time_scale))
+
+
+def _relative(residual: float, scale: float) -> float:
+    return residual / scale if scale > 0.0 else residual
 
 
 @dataclass(frozen=True)
@@ -243,17 +336,24 @@ class _Phase:
         self.inv_qb = np.divide(1.0, self.qb, out=np.zeros(self.n), where=self.linear)
 
 
-def _uplink(states: Sequence[ChannelState], modes: Sequence[Mode]) -> _Phase:
-    """Uplink curves: PNC where `modes` says so, SPC-DNC elsewhere."""
-    g1 = np.array([s.g1r for s in states], dtype=float)
-    g2 = np.array([s.g2r for s in states], dtype=float)
-    pnc = np.array([m is Mode.PNC for m in modes], dtype=bool)
-    dnc = dnc_curve(np.minimum(g1, g2), np.maximum(g1, g2))
-    return _Phase(*(np.where(pnc, p, d) for p, d in zip(pnc_curve(g1, g2), dnc)))
+def _pnc_mask(modes) -> np.ndarray:
+    """Where `modes` is PNC; a boolean array is taken as that mask already."""
+    if isinstance(modes, np.ndarray):
+        return modes
+    pnc = Mode.PNC
+    return np.array([m is pnc for m in modes], dtype=bool)
+
+
+def _uplink(states: Sequence[ChannelState], modes) -> _Phase:
+    """Uplink curves: PNC where `modes` says so (`_pnc_mask`), SPC-DNC elsewhere."""
+    st = as_states(states)
+    dnc = dnc_curve(st.g_mr, st.g_Mr)
+    return _Phase(*(np.where(_pnc_mask(modes), p, d)
+                    for p, d in zip(pnc_curve(st.g1r, st.g2r), dnc)))
 
 
 def _downlink(states: Sequence[ChannelState]) -> _Phase:
-    return _Phase(*broadcast_curve(np.array([s.g_rm for s in states], dtype=float)))
+    return _Phase(*broadcast_curve(as_states(states).g_rm))
 
 
 def _stationary_x(ph: _Phase, beta):
@@ -569,21 +669,17 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
     """
     opts = opts or SolverOptions()
     _check_problem(states, modes, target_rate)
-    modes = list(modes)
+    st, pnc = as_states(states), _pnc_mask(modes)
     if target_rate == 0.0:
-        per = tuple(StateAllocation(m, 0.0, 0.0, 0.0, 0.0) for m in modes)
+        zero = np.zeros(len(st))
+        per = StateAllocations(pnc, zero, zero, zero, zero)
         return Allocation(TimeSplit(0.5, 0.5), per, KktPoint(0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
-    ev = _optimize_split(_uplink(states, modes), _downlink(states), target_rate, opts)
+    ev = _optimize_split(_uplink(st, pnc), _downlink(st), target_rate, opts)
     f_u = ev.f_u
     f_d = 1.0 - f_u
-    p_u, p_d = ev.powers_u, ev.powers_d
-    per = tuple(
-        StateAllocation(modes[i], float(ev.rates_u[i]), float(ev.rates_d[i]),
-                        float(p_u[i]), float(p_d[i]))
-        for i in range(len(modes)))
     return Allocation(
         split=TimeSplit(f_u, f_d),
-        per_state=per,
+        per_state=StateAllocations(pnc, ev.rates_u, ev.rates_d, ev.powers_u, ev.powers_d),
         duals=KktPoint(ev.beta1, ev.beta2, max(0.0, -ev.mean_ddn)),
         avg_energy=ev.energy,
         avg_rate_u=f_u * float(np.mean(ev.rates_u)),
@@ -600,22 +696,23 @@ def kkt_residuals(alloc: Allocation, states: Sequence[ChannelState],
     slackness covers them). The time-budget multiplier gamma is recovered
     from the downlink split condition, so its residual vanishes by
     construction and the uplink split condition carries the information:
-    it equals |d(avg energy)/d f_u| at the reported split.
+    it equals |d(avg energy)/d f_u| at the reported split. The scales of
+    `KktResiduals.worst_relative` come along: the multipliers and
+    |mean_dup| + |mean_ddn|, the size of the envelope terms.
     """
-    if modes is None:
-        modes = [sa.mode for sa in alloc.per_state]
-    _check_problem(states, modes, 0.0)
-    if len(alloc.per_state) != len(states):
-        raise ValueError(f"allocation covers {len(alloc.per_state)} states, got {len(states)}")
+    per = alloc.per_state
+    st = as_states(states)
+    pnc = per.pnc if modes is None else _pnc_mask(modes)
+    _check_problem(st, pnc, 0.0)
+    if len(per) != len(st):
+        raise ValueError(f"allocation covers {len(per)} states, got {len(st)}")
     rows = []
-    for ph, rates, beta in (
-            (_uplink(states, modes), [sa.rate_u for sa in alloc.per_state], alloc.duals.beta1),
-            (_downlink(states), [sa.rate_d for sa in alloc.per_state], alloc.duals.beta2)):
-        rates = np.array(rates, dtype=float)
+    for ph, rates, beta in ((_uplink(st, pnc), per.rate_u, alloc.duals.beta1),
+                            (_downlink(st), per.rate_d, alloc.duals.beta2)):
         active = rates > 0.0
         _, slope, env = _powers(ph, rates)
         rows.append((float(np.max(np.abs(slope - beta), where=active, initial=0.0)),
-                     float(env), tuple(int(i) for i in np.flatnonzero(~active))))
+                     float(env), tuple(np.flatnonzero(~active).tolist())))
     (up_rate, mean_dup, clamped_u), (dn_rate, mean_ddn, clamped_d) = rows
     gamma = -mean_ddn
     return KktResiduals(
@@ -626,6 +723,9 @@ def kkt_residuals(alloc: Allocation, states: Sequence[ChannelState],
         gamma=gamma,
         clamped_uplink=clamped_u,
         clamped_downlink=clamped_d,
+        beta1=alloc.duals.beta1,
+        beta2=alloc.duals.beta2,
+        time_scale=abs(mean_dup) + abs(mean_ddn),
     )
 
 
@@ -644,13 +744,14 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
     """
     _check_problem(states, modes, target_rate)
     opts = opts or SolverOptions()
+    st = as_states(states)
     f = np.asarray(f_values, dtype=float)
     if np.any((f <= 0.0) | (f >= 1.0)):
         raise ValueError("grid fractions must lie strictly inside (0, 1)")
     if target_rate == 0.0:
         return np.zeros_like(f)
     energy = 0.0
-    for ph, g in ((_uplink(states, modes), f), (_downlink(states), 1.0 - f)):
+    for ph, g in ((_uplink(st, modes), f), (_downlink(st), 1.0 - f)):
         betas, warm = [], None
         for target in (target_rate / g).tolist():
             warm = (target, *_solve_multiplier(ph, target, opts, None, warm))

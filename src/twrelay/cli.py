@@ -17,8 +17,10 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .allocation import Allocation, SolverOptions, solve_fixed_modes
-from .channel import (DETERMINISTIC, RAYLEIGH, ChannelState, FadingModel,
+import numpy as np
+
+from .allocation import SolverOptions, StateAllocations, solve_fixed_modes
+from .channel import (DETERMINISTIC, RAYLEIGH, ChannelState, FadingModel, States,
                       load_states, sample_states, save_states)
 from .oracle import GridSpec, brute_force_fixed_modes, midpoint_convexity_probe
 from .ratepower import Mode
@@ -152,7 +154,7 @@ class ExperimentConfig:
     def solver_options(self) -> SolverOptions:
         return SolverOptions(rate_rtol=self.rate_rtol, f_tol=self.f_tol)
 
-    def resolve_states(self) -> list[ChannelState]:
+    def resolve_states(self) -> States:
         """The shared channel draw used by every rate target of the experiment."""
         if self.states_path is not None:
             return load_states(self.states_path)
@@ -234,8 +236,35 @@ def _round12(obj):
     return obj
 
 
-def allocation_to_dict(alloc: Allocation) -> dict:
-    return {
+# one per_state item as json.dumps(..., sort_keys=True, indent=2) prints it
+_STATE_JSON = ('    {{\n      "mode": "{}",\n      "power_d": {},\n      "power_u": {},\n'
+               '      "rate_d": {},\n      "rate_u": {}\n    }}')
+_FMT12 = "{:.12g}".format
+
+
+def _per_state_json(per: StateAllocations) -> str:
+    """The per_state list as json.dumps(_round12(...), sort_keys=True, indent=2) nests it."""
+    values = [map(repr, map(float, map(_FMT12, col.tolist())))
+              for col in (per.power_d, per.power_u, per.rate_d, per.rate_u)]
+    modes = np.where(per.pnc, Mode.PNC.value, Mode.SPCDNC.value).tolist()
+    return "[\n" + ",\n".join(map(_STATE_JSON.format, modes, *values)) + "\n  ]"
+
+
+def run_solve(config: ExperimentConfig, states: Sequence[ChannelState]) -> str:
+    """Full switching schedule for a single rate target, as stable JSON.
+
+    Keys are sorted, the indent is 2 and floats are rounded to 12
+    significant digits. The per-state list is written straight from the
+    allocation's columns, the rest through json.
+    """
+    if len(config.lambdas) != 1:
+        raise ConfigError("solve needs exactly one rate target; pass --lambda with one value")
+    lam = config.lambdas[0]
+    report = solve_switching(states, lam, epsilon=config.epsilon,
+                             max_iter=config.max_iter, init_mode=config.init_mode,
+                             opts=config.solver_options())
+    alloc = report.final
+    doc = {
         "f_u": alloc.split.f_u,
         "f_d": alloc.split.f_d,
         "duals": {"beta1": alloc.duals.beta1, "beta2": alloc.duals.beta2,
@@ -243,30 +272,15 @@ def allocation_to_dict(alloc: Allocation) -> dict:
         "avg_energy": alloc.avg_energy,
         "avg_rate_u": alloc.avg_rate_u,
         "avg_rate_d": alloc.avg_rate_d,
-        "per_state": [
-            {"mode": sa.mode.value, "rate_u": sa.rate_u, "rate_d": sa.rate_d,
-             "power_u": sa.power_u, "power_d": sa.power_d}
-            for sa in alloc.per_state
-        ],
-    }
-
-
-def run_solve(config: ExperimentConfig, states: Sequence[ChannelState]) -> str:
-    """Full switching schedule for a single rate target, as stable JSON."""
-    if len(config.lambdas) != 1:
-        raise ConfigError("solve needs exactly one rate target; pass --lambda with one value")
-    lam = config.lambdas[0]
-    report = solve_switching(states, lam, epsilon=config.epsilon,
-                             max_iter=config.max_iter, init_mode=config.init_mode,
-                             opts=config.solver_options())
-    doc = allocation_to_dict(report.final)
-    doc.update({
+        "per_state": None,
         "target_rate": lam,
         "iterations": report.iterations,
         "converged": report.converged,
         "energy_trace": list(report.energy_trace),
-    })
-    return json.dumps(_round12(doc), sort_keys=True, indent=2) + "\n"
+    }
+    # per_state is the document's only null; its list goes in that place
+    head, tail = json.dumps(_round12(doc), sort_keys=True, indent=2).split("null", 1)
+    return "".join((head, _per_state_json(alloc.per_state), tail, "\n"))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .channel import ChannelState
 
 
@@ -120,7 +122,7 @@ def energy_gap(rate: float, state: ChannelState) -> float:
     return pnc_uplink_sum_power(rate, state) - dnc_uplink_sum_power(rate, state)
 
 
-def prefer_pnc(rate: float, state: ChannelState) -> bool:
+def prefer_pnc(rate, state):
     """True when PNC needs no more uplink power than SPC-DNC (ties pick PNC).
 
     Closed form of energy_gap <= 0:
@@ -128,8 +130,21 @@ def prefer_pnc(rate: float, state: ChannelState) -> bool:
         1/(2 g_mr) - 1/(2 g_Mr) <= 2^R (2^R - 2) / g_Mr
 
     With equal uplink gains the left side vanishes and the criterion
-    reduces to R >= 1.
+    reduces to R >= 1. Elementwise: a scalar rate and a `ChannelState`
+    give a bool, an array of rates and a `States` of the same length a
+    boolean array.
     """
-    _check_rate(rate)
-    x = 2.0 ** rate
-    return 0.5 / state.g_mr - 0.5 / state.g_Mr <= x * (x - 2.0) / state.g_Mr
+    if np.ndim(rate) == 0:
+        _check_rate(rate)
+        x = 2.0 ** float(rate)
+    else:
+        rate = np.asarray(rate, dtype=float)
+        bad = ~((rate > 0.0) & (rate < math.inf))
+        if bad.any():
+            _check_rate(float(rate[bad][0]))
+        # C pow per element, as for a scalar: numpy's power may take a SIMD
+        # kernel whose last bit differs, which can flip a decision at the tie
+        x = np.array([2.0 ** r for r in rate.tolist()])
+    with np.errstate(over="ignore"):  # x (x - 2) overflows to inf, as a Python float does
+        pick = 0.5 / state.g_mr - 0.5 / state.g_Mr <= x * (x - 2.0) / state.g_Mr
+    return bool(pick) if np.ndim(pick) == 0 else pick

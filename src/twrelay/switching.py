@@ -6,6 +6,10 @@ This module alternates two steps that each never increase energy: solve
 the convex fixed-assignment problem, then reselect per state whichever
 uplink strategy is cheaper at the rate just allocated. Iteration stops
 when the relative energy improvement falls below epsilon.
+
+The states are turned into columns once (`channel.as_states`), and each
+reselection is one elementwise `prefer_pnc` call on the columns of the
+states that carry uplink rate.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .allocation import Allocation, SolverOptions, solve_fixed_modes
-from .channel import ChannelState
+from .channel import ChannelState, States, as_states
 from .ratepower import Mode, prefer_pnc
 
 
@@ -41,21 +47,21 @@ class SwitchReport:
         object.__setattr__(self, "energy_trace", tuple(self.energy_trace))
 
 
-def _reselect(alloc: Allocation, states: Sequence[ChannelState],
-              modes: Sequence[Mode]) -> list[Mode]:
+_MODES = np.array([Mode.SPCDNC, Mode.PNC], dtype=object)  # indexed by the PNC mask
+
+
+def _reselect(alloc: Allocation, st: States) -> list[Mode]:
     """Cheaper strategy per state at the current rate; silent states keep theirs."""
-    out = []
-    for sa, state, old in zip(alloc.per_state, states, modes):
-        if sa.rate_u > 0.0:
-            out.append(Mode.PNC if prefer_pnc(sa.rate_u, state) else Mode.SPCDNC)
-        else:
-            out.append(old)
-    return out
+    per = alloc.per_state
+    active = per.rate_u > 0.0
+    pnc = per.pnc.copy()
+    pnc[active] = prefer_pnc(per.rate_u[active], st[active])
+    return _MODES[pnc.view(np.int8)].tolist()
 
 
 def _report(alloc: Allocation, trace: list[float], epsilon: float,
             converged: bool) -> SwitchReport:
-    n_pnc = sum(1 for sa in alloc.per_state if sa.mode is Mode.PNC)
+    n_pnc = int(np.count_nonzero(alloc.per_state.pnc))
     return SwitchReport(
         final=alloc,
         energy_trace=tuple(trace),
@@ -83,16 +89,17 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    modes = [init_mode] * len(states)
-    alloc = solve_fixed_modes(states, modes, target_rate, opts)
+    st = as_states(states)
+    modes = [init_mode] * len(st)
+    alloc = solve_fixed_modes(st, modes, target_rate, opts)
     trace = [alloc.avg_energy]
     converged = False
     while not converged and len(trace) < max_iter:
-        new_modes = _reselect(alloc, states, modes)
+        new_modes = _reselect(alloc, st)
         if new_modes == modes:
             converged = True
             break
-        candidate = solve_fixed_modes(states, new_modes, target_rate, opts)
+        candidate = solve_fixed_modes(st, new_modes, target_rate, opts)
         if candidate.avg_energy > alloc.avg_energy:
             # strategy flips promised savings the re-solve could not realize;
             # keep the best allocation found

@@ -527,3 +527,72 @@ def test_bad_solver_options_rejected():
 def test_options_are_plain_data():
     opts = SolverOptions()
     assert dataclasses.replace(opts, refine_uplink=False).refine_uplink is False
+
+
+# ------------------------------------------------ relative KKT residuals
+
+def test_relative_residuals_flag_a_wrong_split_at_large_gains():
+    # the split f_u = 0.5 is 0.53% above the optimum here, but every
+    # energy is ~1e-12, so the absolute residuals look converged
+    states = [ChannelState(1e12, 1e12, 1e12, 1e12)]
+    res = kkt_residuals(_resolve_at_split(states, [Mode.PNC], 1.0, 0.5), states)
+    assert res.worst < 1e-9
+    assert res.worst_relative > 1e-3
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_relative_residuals_vanish_at_the_solver_answer(scale, mode):
+    states = [ChannelState(scale, scale, scale, scale)]
+    res = kkt_residuals(solve_fixed_modes(states, [mode], 1.0), states)
+    assert res.worst_relative <= 1e-8
+
+
+def test_kkt_residuals_take_modes_and_a_state_list():
+    # the columns and a list of states give the same residuals, and passing
+    # the allocation's own modes changes nothing
+    states = sample_states(200, 5)
+    modes = [Mode.PNC if i % 3 else Mode.SPCDNC for i in range(200)]
+    alloc = solve_fixed_modes(states, modes, 1.5)
+    base = kkt_residuals(alloc, states)
+    assert kkt_residuals(alloc, list(states)) == base
+    assert kkt_residuals(alloc, states, modes) == base
+    assert base.worst_relative <= 1e-8
+
+
+# ------------------------------------------------------ columnar schedule
+
+def test_per_state_is_columnar_and_builds_items_on_demand():
+    states = sample_states(40, 8)
+    modes = [Mode.PNC if i % 2 else Mode.SPCDNC for i in range(40)]
+    alloc = solve_fixed_modes(states, modes, 0.75)
+    per = alloc.per_state
+    assert isinstance(per, allocation.StateAllocations)
+    assert len(per) == 40 and per.pnc.tolist() == [m is Mode.PNC for m in modes]
+    for col in (per.pnc, per.rate_u, per.rate_d, per.power_u, per.power_d):
+        assert not col.flags.writeable
+    items = list(per)
+    assert all(isinstance(sa, StateAllocation) for sa in items)
+    assert [sa.mode for sa in items] == modes
+    assert per[-1] == items[-1] and per[3].rate_u == float(per.rate_u[3])
+    assert list(per[5:9]) == items[5:9]
+    assert per == tuple(items) and per == items and per != items[:-1]
+    # a tuple of items passed to Allocation becomes the same columns
+    again = dataclasses.replace(alloc, per_state=tuple(items))
+    assert isinstance(again.per_state, allocation.StateAllocations)
+    assert again == alloc
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0.5, -1.0, 1.0, 0.0), "rate_d must be nonnegative"),
+    ((0.5, 0.0, math.inf, 0.0), "power_u must be nonnegative"),
+    ((0.5, 0.0, 0.0, 0.0), "rate_u and power_u must vanish together"),
+    ((0.0, 0.5, 0.0, 0.0), "rate_d and power_d must vanish together"),
+])
+def test_per_state_columns_keep_the_item_invariants(bad, message):
+    # (rate_u, rate_d, power_u, power_d) of three states, the middle one bad
+    rows = [(0.5, 0.25, 1.0, 2.0), bad, (0.5, 0.25, 1.0, 2.0)]
+    with pytest.raises(ValueError, match=message):
+        StateAllocation(Mode.PNC, *bad)
+    with pytest.raises(ValueError, match=message):
+        allocation.StateAllocations([True, False, True], *zip(*rows))

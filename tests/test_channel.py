@@ -108,3 +108,84 @@ def test_load_rejects_empty_data_section(tmp_path):
     path.write_text("g1r,g2r,gr1,gr2\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_states(path)
+
+
+# ----------------------------------------------------------- columns
+
+def test_load_counts_blank_lines_in_row_numbers(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("g1r,g2r,gr1,gr2\n1.0,1.0,1.0,1.0\n\n , , , \n0.0,1,1,1\n")
+    with pytest.raises(ValueError, match="row 5: channel gain g1r must be positive"):
+        load_states(path)
+
+
+def test_load_reads_padded_cells_as_float_does(tmp_path):
+    path = tmp_path / "padded.csv"
+    cells = [" 1.5 ", "\t2", "3e-1 ", "  4_0"]
+    path.write_text("g1r, g2r ,gr1,gr2\n" + ",".join(cells) + "\n\n")
+    states = load_states(path)
+    assert list(states) == [ChannelState(*(float(c) for c in cells))]
+
+
+def test_load_rejects_overflowing_gain_with_its_row(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("g1r,g2r,gr1,gr2\n1,1,1,1\n1,1,1e400,1\n")
+    with pytest.raises(ValueError, match="row 3: channel gain gr1 must be positive and finite"):
+        load_states(path)
+
+
+def test_load_reports_the_first_bad_row_of_either_kind(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("g1r,g2r,gr1,gr2\n1,1,1,1\n1,-2,1,1\n1,x,1,1\n")
+    with pytest.raises(ValueError, match="row 3: channel gain g2r"):
+        load_states(path)
+    path.write_text("g1r,g2r,gr1,gr2\n1,1,1,1\n1,x,1,1\n1,-2,1,1\n")
+    with pytest.raises(ValueError, match="row 3: non-numeric"):
+        load_states(path)
+
+
+def test_states_behave_like_the_list_of_states():
+    from twrelay.channel import States
+
+    states = sample_states(8, 31)
+    gains = np.random.default_rng(31).exponential(1.0, (8, 4))
+    listed = [ChannelState(a, b, a, b) for a, b in gains[:, :2].tolist()]
+    assert isinstance(states, States)
+    assert len(states) == 8
+    assert list(states) == listed
+    assert states[-1] == listed[-1] and states[3] == listed[3]
+    part = states[2:5]
+    assert isinstance(part, States) and part == listed[2:5]
+    assert listed[2:5] == part and tuple(listed[2:5]) == part
+    assert states != listed[:-1] and states != "abc"
+    with pytest.raises(IndexError):
+        states[8]
+    assert not states.g1r.flags.writeable
+    with pytest.raises(ValueError, match="state 1: channel gain gr2"):
+        States([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, math.nan])
+
+
+@pytest.mark.parametrize("seed", [1, 7, 123])
+def test_sample_columns_are_the_generator_block(seed):
+    gains = np.random.default_rng(seed).exponential(1.0, (500, 4))
+    gains[:, 2], gains[:, 3] = gains[:, 0], gains[:, 1]
+    states = sample_states(500, seed)
+    for k, name in enumerate(("g1r", "g2r", "gr1", "gr2")):
+        assert np.array_equal(getattr(states, name), gains[:, k])
+
+
+def test_save_writes_what_the_csv_module_writes(tmp_path):
+    import csv
+
+    states = sample_states(30, 4, FadingModel(reciprocal=False))
+    path = tmp_path / "states.csv"
+    save_states(states, path)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("g1r", "g2r", "gr1", "gr2"))
+        for s in states:
+            writer.writerow([f"{v:.17g}" for v in (s.g1r, s.g2r, s.gr1, s.gr2)])
+    assert path.read_bytes() == want.read_bytes()
+    save_states(list(states), path)
+    assert path.read_bytes() == want.read_bytes()

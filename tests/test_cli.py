@@ -300,3 +300,80 @@ def test_default_battery_runs_its_small_checks():
     for name in small + convexity:
         passed, detail = checks[name]()
         assert passed, (name, detail)
+
+
+# ---------------------------------------------------- direct JSON writer
+
+def _round12(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_round12(v) for v in obj]
+    return obj
+
+
+def _reference_solve_json(cfg, states):
+    """run_solve's document built item by item and printed by json.dumps."""
+    from twrelay import solve_switching
+
+    report = solve_switching(states, cfg.lambdas[0], epsilon=cfg.epsilon,
+                             max_iter=cfg.max_iter, init_mode=cfg.init_mode,
+                             opts=cfg.solver_options())
+    a = report.final
+    doc = {
+        "f_u": a.split.f_u, "f_d": a.split.f_d,
+        "duals": {"beta1": a.duals.beta1, "beta2": a.duals.beta2, "gamma": a.duals.gamma},
+        "avg_energy": a.avg_energy, "avg_rate_u": a.avg_rate_u, "avg_rate_d": a.avg_rate_d,
+        "per_state": [{"mode": sa.mode.value, "rate_u": sa.rate_u, "rate_d": sa.rate_d,
+                       "power_u": sa.power_u, "power_d": sa.power_d} for sa in a.per_state],
+        "target_rate": cfg.lambdas[0], "iterations": report.iterations,
+        "converged": report.converged, "energy_trace": list(report.energy_trace),
+    }
+    return json.dumps(_round12(doc), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_json_is_what_json_dumps_prints(seed):
+    from twrelay.cli import run_solve
+
+    cfg = ExperimentConfig(lambdas=(1.0,))
+    states = sample_states(300, seed)
+    assert run_solve(cfg, states) == _reference_solve_json(cfg, states)
+
+
+def test_solve_json_matches_json_dumps_at_extreme_powers_and_silent_states():
+    from twrelay import Mode
+    from twrelay.cli import run_solve
+
+    # powers near 1e180 print in exponent form
+    cfg = ExperimentConfig(lambdas=(300.0,))
+    one = [ChannelState(1.0, 1.0, 1.0, 1.0)]
+    text = run_solve(cfg, one)
+    assert "e+180" in text and text == _reference_solve_json(cfg, one)
+    # a low PNC target leaves faded states silent: 0.0 rates and powers
+    cfg = ExperimentConfig(lambdas=(0.1,), init_mode=Mode.PNC, epsilon=1.0)
+    states = sample_states(300, 7)
+    text = run_solve(cfg, states)
+    assert '"rate_u": 0.0' in text and '"power_u": 0.0' in text
+    assert text == _reference_solve_json(cfg, states)
+
+
+def test_solve_builds_no_per_state_objects(tmp_path, monkeypatch):
+    from twrelay import StateAllocation
+
+    path, out = tmp_path / "states.csv", tmp_path / "out.json"
+    save_states(sample_states(2000, 9), path)
+    built = {ChannelState: 0, StateAllocation: 0}
+    for cls in built:
+        def counted(self, _inner=cls.__post_init__, _cls=cls):
+            built[_cls] += 1
+            _inner(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    ChannelState(1.0, 1.0, 1.0, 1.0)
+    assert built[ChannelState] == 1  # the counter is live
+    built[ChannelState] = 0
+    assert main(["solve", "--states", str(path), "--lambda", "1.0", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["per_state"]) == 2000
+    assert built == {ChannelState: 0, StateAllocation: 0}

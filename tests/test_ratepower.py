@@ -162,3 +162,41 @@ def test_dnc_decode_order_is_the_cheap_one():
 def test_zero_rate_is_a_domain_error(fn):
     with pytest.raises(ValueError, match="positive"):
         fn(0.0, UNIT)
+
+
+# ------------------------------------------------- elementwise mode choice
+
+def test_prefer_pnc_on_arrays_matches_the_scalar_decisions():
+    from twrelay.channel import States
+
+    rng = np.random.default_rng(2024)
+    n = 10_000
+    g = 10.0 ** rng.uniform(-3.0, 3.0, (4, n))
+    g[:, :500] = g[0, :500]  # equal gains, where the choice is R >= 1
+    rates = rng.uniform(0.01, 4.0, n)
+    rates[:250] = 1.0
+    # rates at and one ulp either side of each state's boundary
+    # 2^R = 1 + sqrt(1 + (g_Mr / g_mr - 1) / 2)
+    g_mr, g_Mr = np.minimum(g[0], g[1]), np.maximum(g[0], g[1])
+    edge = np.log2(1.0 + np.sqrt(1.0 + 0.5 * (g_Mr / g_mr - 1.0)))
+    rates[1000:2000] = edge[1000:2000]
+    rates[2000:3000] = np.nextafter(edge[2000:3000], 0.0)
+    rates[3000:4000] = np.nextafter(edge[3000:4000], np.inf)
+    states = States(*g)
+    got = prefer_pnc(rates, states)
+    assert got.dtype == bool and got.shape == (n,)
+    want = [prefer_pnc(float(r), s) for r, s in zip(rates, states)]
+    assert got.tolist() == want
+    assert got[:250].all()  # ties at R = 1 pick PNC
+    assert 0 < got[1000:4000].sum() < 3000  # both sides of the boundary occur
+
+
+def test_prefer_pnc_returns_a_bool_for_a_scalar_and_checks_every_rate():
+    from twrelay.channel import States
+
+    assert prefer_pnc(np.float64(2.0), UNIT) is True
+    assert prefer_pnc(0.5, UNIT) is False
+    states = States([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            prefer_pnc(np.array([1.5, bad]), states)
