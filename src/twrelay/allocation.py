@@ -542,7 +542,9 @@ def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allow
     |mean_ddn|), which scales with the gains, at a step below 1e-15 f, or
     after one last step inside a bracket narrower than opts.f_tol, whose
     ends can still carry a |d| too large for the KKT check. Returns the
-    feasible evaluation with the smallest |d|, or None when none is.
+    probe where the bracket closed, such as an end whose d points outward
+    (a boundary optimum, where d does not vanish), if it is feasible; else
+    the feasible evaluation with the smallest |d|, or None when none is.
     """
     lo, hi = opts.f_lo, opts.f_hi
     unprobed = {lo, hi}
@@ -563,7 +565,10 @@ def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allow
             lo = f
         else:
             hi = f
-        if lo == hi or abs(step) <= 1e-15 * f:
+        if lo == hi:  # the bracket closed at this probe
+            best = ev or best
+            break
+        if abs(step) <= 1e-15 * f:
             break
         f = min(max(f - step, lo), hi)  # NaN stays NaN; an unprobed end gets probed
         if f not in unprobed and not (lo < f < hi and abs(d) <= 0.5 * d_before):

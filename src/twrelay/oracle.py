@@ -92,39 +92,59 @@ def _shape_matrix(levels: np.ndarray, n: int) -> np.ndarray:
 
     Profiles are later rescaled to meet the rate constraint, so only the
     ray of each vector matters; normalizing to mean 1 and deduplicating
-    keeps the search space small.
+    keeps the search space small. Entries are rounded to 12 decimals, so
+    every positive one is at least 5e-13, and the rows come sorted
+    (`_unique_rows`).
     """
     grids = np.meshgrid(*([levels] * n), indexing="ij")
     shapes = np.stack([g.ravel() for g in grids], axis=1)
     means = shapes.mean(axis=1)
     keep = means > 0.0
     shapes = shapes[keep] / means[keep, None]
-    return np.unique(np.round(shapes, 12), axis=0)
+    return _unique_rows(np.round(shapes, 12))
 
 
-def _uplink_power_matrix(rates: np.ndarray, states: Sequence[ChannelState],
-                         modes: Sequence[Mode]) -> np.ndarray:
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """`np.unique(a, axis=0)` for a NaN-free float matrix, without its row sort.
+
+    A lexsort keyed on the columns, the first one primary, puts the rows
+    in the order np.unique's structured sort gives; a row equal to its
+    predecessor is dropped. Equal rows are equal bit for bit (no -0.0
+    occurs here), so which copy is kept does not matter.
+    """
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(a.shape[0], dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
+
+
+def _power_curves(states: Sequence[ChannelState], modes: Sequence[Mode]) -> tuple[list, list]:
+    """Each state's uplink and downlink power as a function of x = 2^rate."""
+    up, dn = [], []
+    for state, mode in zip(states, modes):
+        if mode is Mode.PNC:
+            up.append(lambda x, k=1.0 / state.g1r + 1.0 / state.g2r: (x - 0.5) * k)
+        else:
+            up.append(lambda x, a=state.g_mr, b=state.g_Mr: (x - 1.0) / a + x * (x - 1.0) / b)
+        dn.append(lambda x, g=state.g_rm: (x - 1.0) / g)
+    return up, dn
+
+
+def _mean_power(cols: list, active: list, scale: float, curves: list) -> np.ndarray:
+    """Mean power over the states of every shape row at rates shape·scale.
+
+    cols[j] is state j's shape column and active[j] its `> 0` mask, which
+    is the mask of its rates wherever scale·5e-13 does not underflow (every
+    target above 1e-310); a state at rate 0 is silent and costs nothing.
+    The masked power columns are added in state order and divided by n,
+    which gives mean(axis=1) of the (shapes × n) power matrix bit for bit.
+    """
+    total = None
     with np.errstate(over="ignore"):
-        x = np.exp2(rates)
-        cols = []
-        for j, (state, mode) in enumerate(zip(states, modes)):
-            xj = x[:, j]
-            if mode is Mode.PNC:
-                p = (xj - 0.5) * (1.0 / state.g1r + 1.0 / state.g2r)
-            else:
-                p = (xj - 1.0) / state.g_mr + xj * (xj - 1.0) / state.g_Mr
-            cols.append(np.where(rates[:, j] > 0.0, p, 0.0))
-    return np.stack(cols, axis=1)
-
-
-def _downlink_power_matrix(rates: np.ndarray, states: Sequence[ChannelState]) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = np.exp2(rates)
-        cols = []
-        for j, state in enumerate(states):
-            p = (x[:, j] - 1.0) / state.g_rm
-            cols.append(np.where(rates[:, j] > 0.0, p, 0.0))
-    return np.stack(cols, axis=1)
+        for col, on, curve in zip(cols, active, curves):
+            p = np.where(on, curve(np.exp2(col * scale)), 0.0)
+            total = p if total is None else total + p
+    return total / len(cols)
 
 
 def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -153,14 +173,9 @@ def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode
     shapes0 = _shape_matrix(grid.rate_levels(), n)  # every row has mean 1
     f_vals = grid.f_values()
 
-    def up_eval(rates: np.ndarray) -> np.ndarray:
-        return _uplink_power_matrix(rates, states, modes).mean(axis=1)
-
-    def dn_eval(rates: np.ndarray) -> np.ndarray:
-        return _downlink_power_matrix(rates, states).mean(axis=1)
-
-    up_store, up_power, up_arg = _refined_phase(shapes0, f_vals, target_rate, up_eval, grid)
-    dn_store, dn_power, dn_arg = _refined_phase(shapes0, f_vals, target_rate, dn_eval, grid)
+    up_curves, dn_curves = _power_curves(states, modes)
+    up_store, up_power, up_arg = _refined_phase(shapes0, f_vals, target_rate, up_curves, grid)
+    dn_store, dn_power, dn_arg = _refined_phase(shapes0, f_vals, target_rate, dn_curves, grid)
 
     m_f = f_vals.shape[0]
     best = (math.inf, -1, -1)
@@ -190,19 +205,21 @@ def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode
 
 
 def _phase_minima(shape_mat: np.ndarray, f_vals: np.ndarray, target: float,
-                  eval_powers) -> tuple[np.ndarray, np.ndarray]:
+                  curves: list) -> tuple[np.ndarray, np.ndarray]:
     m_f = f_vals.shape[0]
     power = np.empty(m_f)
     arg = np.empty(m_f, dtype=int)
+    cols = [np.ascontiguousarray(col) for col in shape_mat.T]
+    active = [col > 0.0 for col in cols]
     for i, f in enumerate(f_vals):
-        p = eval_powers(shape_mat * (target / f))
+        p = _mean_power(cols, active, target / f, curves)
         j = int(np.argmin(p))
         power[i], arg[i] = p[j], j
     return power, arg
 
 
 def _refined_phase(shapes0: np.ndarray, f_vals: np.ndarray, target: float,
-                   eval_powers, grid: GridSpec):
+                   curves: list, grid: GridSpec):
     """Per-fraction phase minima over the base grid plus local lattice passes.
 
     The coarse shape grid limits accuracy to a few tenths of a percent, far
@@ -215,20 +232,20 @@ def _refined_phase(shapes0: np.ndarray, f_vals: np.ndarray, target: float,
     """
     n = shapes0.shape[1]
     store = shapes0
-    power, arg = _phase_minima(shapes0, f_vals, target, eval_powers)
+    power, arg = _phase_minima(shapes0, f_vals, target, curves)
     offsets = np.stack([g.ravel() for g in np.meshgrid(
         *([np.arange(-grid.refine_span, grid.refine_span + 1)] * n),
         indexing="ij")], axis=1).astype(float)
     step = grid.refine_step
     for _ in range(grid.refine_rounds):
-        bases = np.unique(store[np.unique(arg)], axis=0)
+        bases = _unique_rows(store[np.unique(arg)])
         cand = (bases[:, None, :] + step * offsets[None, :, :]).reshape(-1, n)
         np.maximum(cand, 0.0, out=cand)
         means = cand.mean(axis=1)
         keep = means > 0.0
         cand = cand[keep] / means[keep, None]
-        cand = np.unique(np.round(cand, 12), axis=0)
-        p_new, a_new = _phase_minima(cand, f_vals, target, eval_powers)
+        cand = _unique_rows(np.round(cand, 12))
+        p_new, a_new = _phase_minima(cand, f_vals, target, curves)
         better = p_new < power
         power = np.where(better, p_new, power)
         arg = np.where(better, a_new + store.shape[0], arg)

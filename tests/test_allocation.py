@@ -487,6 +487,17 @@ def test_split_search_returns_a_boundary_optimum_exactly(monkeypatch, gains, end
     assert len(calls) <= 5
 
 
+@pytest.mark.parametrize("lam", [1e-7, 1e-6, 1e-5])
+def test_split_search_returns_the_boundary_and_not_the_smallest_slope(seed7_states, lam):
+    # at tiny targets d > 0 over the whole interval and the optimum is
+    # f_lo; returning the probe with the smallest |d| instead (f_u = 0.5)
+    # cost 14-410 times the energy a search confined near f_lo finds
+    modes = [Mode.PNC] * len(seed7_states)
+    alloc = solve_fixed_modes(seed7_states, modes, lam)
+    near_lo = solve_fixed_modes(seed7_states, modes, lam, SolverOptions(f_hi=0.01))
+    assert alloc.avg_energy <= near_lo.avg_energy * (1.0 + 1e-9)
+
+
 def test_split_search_bisects_where_the_slope_overflows():
     # near the float64 limit d' overflows while d and the powers stay
     # finite; scaled by a common power of two, the Newton step still

@@ -16,6 +16,8 @@ from twrelay import (
     sample_states,
     solve_fixed_modes,
 )
+from twrelay.cli import _mode_vectors
+from twrelay.oracle import _unique_rows
 
 UNIT = ChannelState(1.0, 1.0, 1.0, 1.0)
 
@@ -112,6 +114,36 @@ def test_oracle_is_deterministic():
     b = brute_force_fixed_modes(states, modes, 0.4)
     assert a.energy == b.energy
     assert a.f_u == b.f_u
+
+
+# energy, f_u and f_d of battery instances, (seed, n, target, modes);
+# exact, so that any change to the oracle that moves a result shows
+ORACLE_PINS = [
+    ((1104, 4, 0.25, "pnc"), (1.2580991053602673, 0.52, 0.48)),
+    ((1103, 3, 1.0, "pnc"), (13.159079445198941, 0.55, 0.45)),
+    ((1107, 3, 0.25, "dnc"), (0.588746496424604, 0.63, 0.37)),
+    ((1107, 3, 0.25, "mixed"), (0.6661870324465131, 0.71, 0.29)),
+]
+
+
+@pytest.mark.parametrize("instance,pinned", ORACLE_PINS)
+def test_oracle_results_are_pinned_exactly(instance, pinned):
+    seed, n, lam, label = instance
+    res = brute_force_fixed_modes(sample_states(n, seed), _mode_vectors(n)[label], lam)
+    assert (res.energy, res.f_u, res.f_d) == pinned
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_dedupe_is_np_unique(n):
+    # few distinct values give repeated rows and ties in the leading
+    # columns; the order of the rows must be np.unique's too
+    rng = np.random.default_rng(100 + n)
+    values = np.array([0.0, 0.25, 1.0 / 3.0, 1.0, 2.5])
+    for rows in (1, 2, 7, 300):
+        a = values[rng.integers(0, values.size, size=(rows, n))]
+        a[rng.random(rows) < 0.1] = rng.random(n)
+        a = np.concatenate([a, a[rng.permutation(rows)[: rows // 2]]])
+        assert np.array_equal(_unique_rows(a), np.unique(a, axis=0))
 
 
 def test_state_count_cap():
