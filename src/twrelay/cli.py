@@ -15,6 +15,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -237,17 +238,40 @@ def _round12(obj):
 
 
 # one per_state item as json.dumps(..., sort_keys=True, indent=2) prints it
-_STATE_JSON = ('    {{\n      "mode": "{}",\n      "power_d": {},\n      "power_u": {},\n'
-               '      "rate_d": {},\n      "rate_u": {}\n    }}')
-_FMT12 = "{:.12g}".format
+_STATE_JSON = ('    {\n      "mode": "%s",\n      "power_d": %s,\n      "power_u": %s,\n'
+               '      "rate_d": %s,\n      "rate_u": %s\n    }')
+_BLOCK = 4096  # states formatted per pass; bounds the strings alive at once
+
+
+def _repr12(values: np.ndarray) -> list[str]:
+    """repr(float(f"{v:.12g}")) of each nonnegative value, in one formatting pass.
+
+    The '.12g' text has repr's digits except at subnormals (repr's shortest
+    form is shorter there, 5e-324 against 4.94065645841e-324), and its
+    notation differs where the text is an integer (repr adds ".0") or the
+    exponent is 12 to 15 (repr writes the digits out). Only values in a mask
+    that holds those three classes take the round trip through float: those
+    below 1e-307, and those within 1e-11 relative of an integer, which holds
+    every value that rounds to one at 12 digits and every value from 1e11 up.
+    """
+    texts = (("%.12g\n" * values.size) % tuple(values.tolist())).split("\n")
+    redo = (values < 1e-307) | (np.abs(values - np.rint(values)) <= 1e-11 * values)
+    for i in np.flatnonzero(redo).tolist():
+        texts[i] = repr(float(texts[i]))
+    return texts
 
 
 def _per_state_json(per: StateAllocations) -> str:
     """The per_state list as json.dumps(_round12(...), sort_keys=True, indent=2) nests it."""
-    values = [map(repr, map(float, map(_FMT12, col.tolist())))
-              for col in (per.power_d, per.power_u, per.rate_d, per.rate_u)]
-    modes = np.where(per.pnc, Mode.PNC.value, Mode.SPCDNC.value).tolist()
-    return "[\n" + ",\n".join(map(_STATE_JSON.format, modes, *values)) + "\n  ]"
+    cols = (per.power_d, per.power_u, per.rate_d, per.rate_u)
+    blocks = []
+    for start in range(0, len(per), _BLOCK):
+        part = slice(start, start + _BLOCK)
+        modes = np.where(per.pnc[part], Mode.PNC.value, Mode.SPCDNC.value).tolist()
+        texts = iter(_repr12(np.column_stack([c[part] for c in cols]).ravel()))
+        items = zip(modes, texts, texts, texts, texts)
+        blocks.append(",\n".join([_STATE_JSON] * len(modes)) % tuple(chain.from_iterable(items)))
+    return "[\n" + ",\n".join(blocks) + "\n  ]"
 
 
 def run_solve(config: ExperimentConfig, states: Sequence[ChannelState]) -> str:

@@ -47,16 +47,13 @@ class SwitchReport:
         object.__setattr__(self, "energy_trace", tuple(self.energy_trace))
 
 
-_MODES = np.array([Mode.SPCDNC, Mode.PNC], dtype=object)  # indexed by the PNC mask
-
-
-def _reselect(alloc: Allocation, st: States) -> list[Mode]:
-    """Cheaper strategy per state at the current rate; silent states keep theirs."""
+def _reselect(alloc: Allocation, st: States) -> np.ndarray:
+    """Cheaper strategy per state at the current rate, as a PNC mask; silent states keep theirs."""
     per = alloc.per_state
     active = per.rate_u > 0.0
     pnc = per.pnc.copy()
     pnc[active] = prefer_pnc(per.rate_u[active], st[active])
-    return _MODES[pnc.view(np.int8)].tolist()
+    return pnc
 
 
 def _report(alloc: Allocation, trace: list[float], epsilon: float,
@@ -90,16 +87,16 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     st = as_states(states)
-    modes = [init_mode] * len(st)
-    alloc = solve_fixed_modes(st, modes, target_rate, opts)
+    pnc = np.full(len(st), init_mode is Mode.PNC)
+    alloc = solve_fixed_modes(st, pnc, target_rate, opts)
     trace = [alloc.avg_energy]
     converged = False
     while not converged and len(trace) < max_iter:
-        new_modes = _reselect(alloc, st)
-        if new_modes == modes:
+        new_pnc = _reselect(alloc, st)
+        if np.array_equal(new_pnc, pnc):
             converged = True
             break
-        candidate = solve_fixed_modes(st, new_modes, target_rate, opts)
+        candidate = solve_fixed_modes(st, new_pnc, target_rate, opts)
         if candidate.avg_energy > alloc.avg_energy:
             # strategy flips promised savings the re-solve could not realize;
             # keep the best allocation found
@@ -107,7 +104,7 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
             break
         delta = abs(candidate.avg_energy - alloc.avg_energy)
         rel = delta / candidate.avg_energy if candidate.avg_energy > 0.0 else 0.0
-        modes, alloc = new_modes, candidate
+        pnc, alloc = new_pnc, candidate
         trace.append(alloc.avg_energy)
         if rel < epsilon:
             converged = True
@@ -117,4 +114,4 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
 def solve_baseline(states: Sequence[ChannelState], target_rate: float, mode: Mode,
                    opts: SolverOptions | None = None) -> Allocation:
     """Fixed-assignment solution with every state forced to one strategy."""
-    return solve_fixed_modes(states, [mode] * len(states), target_rate, opts)
+    return solve_fixed_modes(states, np.full(len(states), mode is Mode.PNC), target_rate, opts)

@@ -103,6 +103,7 @@ def test_criterion_03_gap_expressions_agree():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_04_solver_matches_oracle():
     t0 = time.time()
     worst = 0.0

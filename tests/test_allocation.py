@@ -378,6 +378,7 @@ def test_zero_target_residuals_report_everything_clamped():
 
 # ------------------------------------------------------------ split search
 
+@pytest.mark.slow
 def test_golden_section_matches_dense_scan():
     # the split search must land within one grid cell of a 10^4-point
     # scan argmin; the scan shares `_solve_multiplier` with the search, so

@@ -127,6 +127,15 @@ def test_load_reads_padded_cells_as_float_does(tmp_path):
     assert list(states) == [ChannelState(*(float(c) for c in cells))]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_load_reads_quoted_cells_and_any_line_ending(tmp_path, newline):
+    path = tmp_path / "quoted.csv"
+    rows = ['"g1r","g2r",gr1,gr2', '"1.5","2",3,4', '0.5,"6e-1",7,"8"']
+    path.write_bytes((newline.join(rows) + newline).encode())
+    states = load_states(path)
+    assert list(states) == [ChannelState(1.5, 2.0, 3.0, 4.0), ChannelState(0.5, 0.6, 7.0, 8.0)]
+
+
 def test_load_rejects_overflowing_gain_with_its_row(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("g1r,g2r,gr1,gr2\n1,1,1,1\n1,1,1e400,1\n")

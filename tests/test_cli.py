@@ -8,6 +8,7 @@ import pytest
 
 from twrelay import ChannelState, load_states, sample_states, save_states
 from twrelay.cli import (
+    _BLOCK,
     ConfigError,
     ExperimentConfig,
     SWEEP_HEADER,
@@ -358,6 +359,32 @@ def test_solve_json_matches_json_dumps_at_extreme_powers_and_silent_states():
     text = run_solve(cfg, states)
     assert '"rate_u": 0.0' in text and '"power_u": 0.0' in text
     assert text == _reference_solve_json(cfg, states)
+
+
+# integer texts (repr adds ".0"), exponents 11 to 16 (repr writes 12-15 out),
+# subnormals (repr is shorter than 12 digits) and plain values around them
+EDGE_VALUES = [0.0, -0.0, 1.0, 3.0, 2.9999999999999, 0.99999999999999,
+               99999999999.95, 1e12, 1.234e13, 9.99999999999e15, 1e16,
+               5e-324, 1.23456789e-315, 2.3e-308, 1e300, 0.1, 1.5, 1e-5, 123456.7890123]
+
+
+@pytest.mark.parametrize("n", [len(EDGE_VALUES), _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_per_state_writer_matches_json_dumps_at_edge_values(n):
+    import numpy as np
+
+    from twrelay.allocation import StateAllocations
+    from twrelay.cli import _per_state_json
+
+    down = np.resize(EDGE_VALUES, n)
+    up = np.roll(down, 1)  # zero rates pair with zero powers in each phase
+    pnc = np.arange(n) % 3 == 0
+    per = StateAllocations(pnc, up, down, up, down)
+    items = [{"mode": ("pnc" if m else "spc-dnc"), "rate_u": ru, "rate_d": rd,
+              "power_u": pu, "power_d": pd}
+             for m, ru, rd, pu, pd in zip(pnc.tolist(), up.tolist(), down.tolist(),
+                                          up.tolist(), down.tolist())]
+    want = json.dumps(_round12({"per_state": items}), sort_keys=True, indent=2)
+    assert '{\n  "per_state": ' + _per_state_json(per) + "\n}" == want
 
 
 def test_solve_builds_no_per_state_objects(tmp_path, monkeypatch):
