@@ -337,11 +337,18 @@ class _Phase:
 
 
 def _pnc_mask(modes) -> np.ndarray:
-    """Where `modes` is PNC; a boolean array is taken as that mask already."""
-    if isinstance(modes, np.ndarray):
+    """Where `modes` is PNC; a boolean array is taken as that mask already.
+
+    Otherwise every entry must be a `Mode`: an array of modes is read entry
+    by entry, not as a mask, and a string such as "pnc" is refused, not
+    read as SPC-DNC.
+    """
+    if isinstance(modes, np.ndarray) and modes.dtype == bool:
         return modes
-    pnc = Mode.PNC
-    return np.array([m is pnc for m in modes], dtype=bool)
+    for m in modes:
+        if not isinstance(m, Mode):
+            raise ValueError(f"modes must be Mode members or a boolean mask, got {m!r}")
+    return np.array([m is Mode.PNC for m in modes], dtype=bool)
 
 
 def _uplink(states: Sequence[ChannelState], modes) -> _Phase:

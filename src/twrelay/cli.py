@@ -56,6 +56,18 @@ def _check_positive(name: str, value, below: float = math.inf) -> None:
         raise ConfigError(f"config field '{name}' must be positive{bound}, got {value!r}")
 
 
+# The config file's layout: each path ('.' nests one object) and the
+# ExperimentConfig field it sets. from_dict, to_dict and the flags read it.
+_LAYOUT = {
+    "lambdas": "lambdas", "n_states": "n_states", "seed": "seed",
+    "fading.kind": "fading_kind", "fading.reciprocal": "reciprocal",
+    "states_path": "states_path", "epsilon": "epsilon", "max_iter": "max_iter",
+    "init_mode": "init_mode", "tolerances.rate_rtol": "rate_rtol",
+    "tolerances.f_tol": "f_tol", "output": "output",
+}
+_OBJECTS = {path.partition(".")[0] for path in _LAYOUT if "." in path}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: rate targets, channel model, solver settings."""
@@ -74,6 +86,8 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.lambdas, (list, tuple)):
+            raise ConfigError(f"config field 'lambdas' must be a list, got {self.lambdas!r}")
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         if not self.lambdas:
             raise ConfigError("config field 'lambdas' must be a non-empty list")
@@ -96,61 +110,39 @@ class ExperimentConfig:
         if self.fading_kind not in (RAYLEIGH, DETERMINISTIC):
             raise ConfigError(f"config field 'fading.kind' must be '{RAYLEIGH}' or "
                               f"'{DETERMINISTIC}', got {self.fading_kind!r}")
+        try:
+            object.__setattr__(self, "init_mode", Mode(self.init_mode))
+        except ValueError:
+            raise ConfigError(f"config field 'init_mode' must be one of "
+                              f"{[m.value for m in Mode]}, got {self.init_mode!r}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config a JSON file describes; any path not in `_LAYOUT` is refused."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-        known = {"lambdas", "n_states", "seed", "fading", "states_path", "epsilon",
-                 "max_iter", "init_mode", "tolerances", "output"}
-        unknown = set(raw) - known
+        flat = {}
+        for key, value in raw.items():
+            if key not in _OBJECTS:
+                flat[key] = value
+            elif isinstance(value, dict):
+                flat.update((f"{key}.{k}", v) for k, v in value.items())
+            else:
+                raise ConfigError(f"config field '{key}' must be an object")
+        # a top-level key with a dot is refused, even one that spells a path
+        unknown = (set(flat) - set(_LAYOUT)) | {key for key in raw if "." in key}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        for key in ("lambdas", "n_states", "seed", "states_path", "epsilon",
-                    "max_iter", "output"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if not isinstance(kwargs.get("lambdas", []), list):
-            raise ConfigError(f"config field 'lambdas' must be a list, got {raw['lambdas']!r}")
-        fading = raw.get("fading", {})
-        if not isinstance(fading, dict):
-            raise ConfigError("config field 'fading' must be an object")
-        if "kind" in fading:
-            kwargs["fading_kind"] = fading["kind"]
-        if "reciprocal" in fading:
-            kwargs["reciprocal"] = fading["reciprocal"]
-        if "init_mode" in raw:
-            try:
-                kwargs["init_mode"] = Mode(raw["init_mode"])
-            except ValueError:
-                raise ConfigError(f"config field 'init_mode' must be one of "
-                                  f"{[m.value for m in Mode]}, got {raw['init_mode']!r}") from None
-        tol = raw.get("tolerances", {})
-        if not isinstance(tol, dict):
-            raise ConfigError("config field 'tolerances' must be an object")
-        if "rate_rtol" in tol:
-            kwargs["rate_rtol"] = tol["rate_rtol"]
-        if "f_tol" in tol:
-            kwargs["f_tol"] = tol["f_tol"]
-        try:
-            return cls(**kwargs)
-        except TypeError as err:
-            raise ConfigError(str(err)) from None
+        return cls(**{_LAYOUT[path]: value for path, value in flat.items()})
 
     def to_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "n_states": self.n_states,
-            "seed": self.seed,
-            "fading": {"kind": self.fading_kind, "reciprocal": self.reciprocal},
-            "states_path": self.states_path,
-            "epsilon": self.epsilon,
-            "max_iter": self.max_iter,
-            "init_mode": self.init_mode.value,
-            "tolerances": {"rate_rtol": self.rate_rtol, "f_tol": self.f_tol},
-            "output": self.output,
-        }
+        """The JSON object that `from_dict` reads back to this config."""
+        doc: dict = {}
+        for path, name in _LAYOUT.items():
+            outer, _, key = path.rpartition(".")
+            (doc.setdefault(outer, {}) if outer else doc)[key] = getattr(self, name)
+        doc["lambdas"], doc["init_mode"] = list(self.lambdas), self.init_mode.value
+        return doc
 
     def solver_options(self) -> SolverOptions:
         return SolverOptions(rate_rtol=self.rate_rtol, f_tol=self.f_tol)
@@ -159,11 +151,9 @@ class ExperimentConfig:
         """The shared channel draw used by every rate target of the experiment."""
         if self.states_path is not None:
             return load_states(self.states_path)
-        model = FadingModel(kind=self.fading_kind, reciprocal=self.reciprocal) \
-            if self.fading_kind == RAYLEIGH else None
-        if model is None:
+        if self.fading_kind != RAYLEIGH:
             raise ConfigError("deterministic fading needs 'states_path'")
-        return sample_states(self.n_states, self.seed, model)
+        return sample_states(self.n_states, self.seed, FadingModel(reciprocal=self.reciprocal))
 
 
 @dataclass(frozen=True)
@@ -435,8 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON experiment config")
         p.add_argument("--seed", type=int, metavar="U64", help="override RNG seed")
-        p.add_argument("--states", metavar="CSV", help="channel states file (overrides sampling)")
-        p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
+        p.add_argument("--states", dest="states_path", metavar="CSV",
+                       help="channel states file (overrides sampling)")
+        p.add_argument("--out", dest="output", metavar="PATH", help="output path (default: stdout)")
         p.add_argument("--epsilon", type=float, metavar="F",
                        help="override switching termination threshold")
         p.add_argument("--lambda", dest="lambdas", metavar="LIST",
@@ -460,17 +451,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig.from_dict(raw)
     else:
         config = ExperimentConfig()
-    updates: dict = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.states is not None:
-        updates["states_path"] = args.states
-    if args.out is not None:
-        updates["output"] = args.out
-    if args.epsilon is not None:
-        updates["epsilon"] = args.epsilon
-    if args.n_states is not None:
-        updates["n_states"] = args.n_states
+    # every flag whose dest is a config field overrides that field
+    updates = {name: value for name, value in vars(args).items()
+               if name in _LAYOUT.values() and value is not None}
     if args.lambdas is not None:
         try:
             lams = tuple(float(tok) for tok in args.lambdas.replace(",", " ").split())
@@ -479,12 +462,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not lams:
             raise ConfigError("--lambda expects at least one value")
         updates["lambdas"] = lams
-    try:
-        return replace(config, **updates) if updates else config
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    return replace(config, **updates)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -515,17 +493,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return 2
             _emit(run_solve(config, config.resolve_states()), config.output)
         elif args.command == "sample":
-            states = config.resolve_states()
             if config.output is None:
                 print("twrelay: sample needs --out", file=sys.stderr)
                 return 2
-            save_states(states, config.output)
+            save_states(config.resolve_states(), config.output)
         elif args.command == "validate":
             report = run_validate(config)
             _emit(report.text(), config.output)
             if not report.passed:
                 return 1
-    except (ConfigError, ValueError) as err:
+    except (ValueError, OSError) as err:  # ConfigError is a ValueError
         print(f"twrelay: error: {err}", file=sys.stderr)
         return 2
     return 0

@@ -3,6 +3,7 @@ and the split search against a dense scan."""
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -520,6 +521,32 @@ def test_split_search_bisects_where_the_slope_overflows():
 def test_mismatched_modes_rejected():
     with pytest.raises(ValueError, match="modes"):
         solve_fixed_modes([UNIT], [Mode.PNC, Mode.PNC], 0.5)
+
+
+def test_mode_arrays_are_read_as_modes_and_only_bools_as_a_mask():
+    # an object array of modes is the same assignment as the list, and a
+    # boolean array is the PNC mask itself
+    states = sample_states(6, 3)
+    modes = [Mode.SPCDNC, Mode.PNC] * 3
+    want = solve_fixed_modes(states, modes, 1.0)
+    for same in (np.array(modes), np.array([m is Mode.PNC for m in modes])):
+        assert solve_fixed_modes(states, same, 1.0) == want
+    assert kkt_residuals(want, states, np.array(modes)) == kkt_residuals(want, states, modes)
+    f = np.array([0.4, 0.6])
+    np.testing.assert_array_equal(scan_split_energies(states, np.array(modes), 1.0, f),
+                                  scan_split_energies(states, modes, 1.0, f))
+
+
+@pytest.mark.parametrize("modes,first_bad", [
+    (["pnc"] * 6, "pnc"),
+    (np.array(["pnc"] * 6), np.str_("pnc")),
+    ([0] * 6, 0),
+    (np.zeros(6, dtype=int), np.int64(0)),
+    ([Mode.PNC] * 5 + [None], None),
+])
+def test_mode_entries_that_are_not_modes_are_refused(modes, first_bad):
+    with pytest.raises(ValueError, match=re.escape(f"got {first_bad!r}")):
+        solve_fixed_modes(sample_states(6, 3), modes, 1.0)
 
 
 def test_negative_target_rejected():

@@ -1,12 +1,14 @@
 """Command-line front end: config handling, output formats, exit codes."""
 
+import dataclasses
 import json
 import math
 import warnings
 
 import pytest
 
-from twrelay import ChannelState, load_states, sample_states, save_states
+from twrelay import ChannelState, Mode, load_states, sample_states, save_states
+from twrelay.channel import DETERMINISTIC
 from twrelay.cli import (
     _BLOCK,
     ConfigError,
@@ -29,6 +31,24 @@ def test_config_round_trips_through_dict():
     assert again == cfg
 
 
+def test_config_round_trips_every_field_through_json():
+    cfg = ExperimentConfig(lambdas=(0.5, 2.0), n_states=20, seed=3, fading_kind=DETERMINISTIC,
+                           reciprocal=False, states_path="draw.csv", epsilon=1e-5,
+                           max_iter=7, init_mode=Mode.PNC, rate_rtol=1e-7, f_tol=1e-4,
+                           output="out.json")
+    assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
+    raw = cfg.to_dict()
+    assert raw["fading"] == {"kind": DETERMINISTIC, "reciprocal": False}
+    assert raw["tolerances"] == {"rate_rtol": 1e-7, "f_tol": 1e-4}
+    assert raw["init_mode"] == "pnc"
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(raw))) == cfg
+
+
+def test_config_built_directly_passes_the_file_checks():
+    cfg = ExperimentConfig(init_mode="pnc")
+    assert cfg.init_mode is Mode.PNC and cfg.to_dict()["init_mode"] == "pnc"
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknow"):
         ExperimentConfig.from_dict({"lambdas": [1.0], "n_sates": 5})
@@ -40,6 +60,8 @@ def test_config_rejects_unknown_keys():
     ("n_states", 0),
     ("epsilon", 0.0),
     ("max_iter", 0),
+    ("lambdas", 5),
+    ("init_mode", "xnc"),
 ])
 def test_config_rejects_bad_values(field, value):
     kwargs = {"lambdas": (1.0,), field: value}
@@ -65,6 +87,9 @@ def test_config_rejects_bad_values(field, value):
     ("f_tol", {"tolerances": {"f_tol": True}}),
     ("states_path", {"states_path": 5}),
     ("output", {"output": 5}),
+    ("tolerances.rtol", {"tolerances": {"rtol": 1e-6}}),
+    ("fading.kin", {"fading": {"kin": "rayleigh"}}),
+    ("fading.kind", {"fading.kind": "rayleigh"}),
 ])
 def test_config_input_types_are_checked(field, raw, capsys, tmp_path):
     # a wrong JSON type is one named error line and exit 2, never a
@@ -239,6 +264,30 @@ def test_sample_requires_an_output_path(capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_sample_checks_its_output_path_before_drawing(monkeypatch, capsys):
+    import twrelay.cli as cli_mod
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("states drawn before the output path was checked")
+
+    monkeypatch.setattr(cli_mod, "sample_states", no_draw)
+    assert main(["sample", "--n-states", "8"]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--states", "{tmp}/missing.csv", "--lambda", "1"],
+    ["sweep", "--states", "{tmp}", "--lambda", "1"],
+    ["sample", "--n-states", "3", "--out", "{tmp}/nodir/x.csv"],
+], ids=["solve-missing-states", "sweep-states-directory", "sample-out-missing-dir"])
+def test_file_errors_exit_2_with_one_line(argv, tmp_path, capsys):
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twrelay: error:") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 # ---------------------------------------------------------------- validate
 
 def test_empty_battery_passes_trivially():
@@ -315,6 +364,17 @@ def _round12(obj):
     return obj
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, reported by the first differing line, not a diff of the whole text."""
+    if got == want:
+        return
+    a, b = got.split("\n"), want.split("\n")
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    pytest.fail(f"texts differ first at line {i + 1} of {len(a)} and {len(b)}: "
+                f"got {a[i] if i < len(a) else '<end>'!r}, "
+                f"want {b[i] if i < len(b) else '<end>'!r}", pytrace=False)
+
+
 def _reference_solve_json(cfg, states):
     """run_solve's document built item by item and printed by json.dumps."""
     from twrelay import solve_switching
@@ -341,7 +401,7 @@ def test_solve_json_is_what_json_dumps_prints(seed):
 
     cfg = ExperimentConfig(lambdas=(1.0,))
     states = sample_states(300, seed)
-    assert run_solve(cfg, states) == _reference_solve_json(cfg, states)
+    _assert_same_text(run_solve(cfg, states), _reference_solve_json(cfg, states))
 
 
 def test_solve_json_matches_json_dumps_at_extreme_powers_and_silent_states():
@@ -352,13 +412,14 @@ def test_solve_json_matches_json_dumps_at_extreme_powers_and_silent_states():
     cfg = ExperimentConfig(lambdas=(300.0,))
     one = [ChannelState(1.0, 1.0, 1.0, 1.0)]
     text = run_solve(cfg, one)
-    assert "e+180" in text and text == _reference_solve_json(cfg, one)
+    assert "e+180" in text
+    _assert_same_text(text, _reference_solve_json(cfg, one))
     # a low PNC target leaves faded states silent: 0.0 rates and powers
     cfg = ExperimentConfig(lambdas=(0.1,), init_mode=Mode.PNC, epsilon=1.0)
     states = sample_states(300, 7)
     text = run_solve(cfg, states)
     assert '"rate_u": 0.0' in text and '"power_u": 0.0' in text
-    assert text == _reference_solve_json(cfg, states)
+    _assert_same_text(text, _reference_solve_json(cfg, states))
 
 
 # integer texts (repr adds ".0"), exponents 11 to 16 (repr writes 12-15 out),
@@ -384,7 +445,7 @@ def test_per_state_writer_matches_json_dumps_at_edge_values(n):
              for m, ru, rd, pu, pd in zip(pnc.tolist(), up.tolist(), down.tolist(),
                                           up.tolist(), down.tolist())]
     want = json.dumps(_round12({"per_state": items}), sort_keys=True, indent=2)
-    assert '{\n  "per_state": ' + _per_state_json(per) + "\n}" == want
+    _assert_same_text('{\n  "per_state": ' + _per_state_json(per) + "\n}", want)
 
 
 def test_solve_builds_no_per_state_objects(tmp_path, monkeypatch):
