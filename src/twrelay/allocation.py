@@ -23,9 +23,9 @@ bracketed Newton steps find it (`_search_split`).
 Both phases run through one water-filling core. With x = 2^rate every
 state's power is a (x - o) + b x (x - 1), with the coefficients from
 `ratepower`: linear for the broadcast and PNC, quadratic for SPC-DNC. A
-`_Phase` holds them per state, and `_rates`, `_rate_slope` and `_powers`
-give the stationary rates, the mean rate with its slope in ln(beta), and
-the powers with their slopes and envelope terms, for either phase.
+`_Phase` holds them per state, and `_rate_slope` and `_powers` give the
+clamped stationary rates with their mean and its slope in ln(beta), and the
+powers with their slopes and envelope terms, for either phase.
 
 One wrinkle is handled beyond the plain water-filling map: a silent state
 consumes no power, but the PNC power curve does not vanish at zero rate
@@ -37,7 +37,9 @@ an active PNC state with a smaller c never costs more. The silent sets
 worth trying are therefore the prefixes of the PNC states sorted by c,
 largest first, and that order does not depend on the multiplier. The
 silent prefix is chosen outside the split search, which is convex once the
-prefix is fixed (`_optimize_split`).
+prefix is fixed (`_optimize_split`). A prefix is applied as a phase of its
+own, `_Phase.silenced`: PNC curves are linear, so zeroing their stationary x
+per unit of beta holds them at rate 0 for every multiplier.
 
 The solvers take any sequence of `ChannelState`s and work on its columns
 (`channel.as_states`, free for a `States`), and an `Allocation` keeps its
@@ -50,7 +52,9 @@ iteration schedules, no RNG. All inputs are treated as immutable.
 
 from __future__ import annotations
 
+import copy
 import math
+import numbers
 import operator
 import sys
 from collections import namedtuple
@@ -273,8 +277,9 @@ class SolverOptions:
             raise ValueError("need 0 < rate_rtol < 1 and f_tol > 0")
         if not (0.0 < self.f_lo < self.f_hi < 1.0):
             raise ValueError("need 0 < f_lo < f_hi < 1")
-        if self.max_bisect_iter < 1:
-            raise ValueError("max_bisect_iter must be at least 1")
+        k = self.max_bisect_iter
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"max_bisect_iter must be an integer of at least 1, got {k!r}")
 
 
 def pnc_rate_given_beta1(beta1: float, state: ChannelState) -> float:
@@ -308,8 +313,8 @@ def _single_rate(phase: _Phase, beta: float) -> float:
         raise ValueError(f"multiplier must be nonnegative and finite, got {beta!r}")
     if beta == 0.0:
         return 0.0
-    with np.errstate(over="ignore"):
-        return float(_rates(phase, beta)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_rate_slope(phase, beta)[2][0])
 
 
 class _Phase:
@@ -334,6 +339,13 @@ class _Phase:
         self.any_linear = bool(self.linear.any())
         # stationary x per unit of beta on the linear curves
         self.inv_qb = np.divide(1.0, self.qb, out=np.zeros(self.n), where=self.linear)
+
+    def silenced(self, idx) -> "_Phase":
+        """Copy with the states at `idx` silent at every beta; `idx` must index linear curves."""
+        out = copy.copy(self)
+        out.inv_qb = self.inv_qb.copy()
+        out.inv_qb[idx] = 0.0
+        return out
 
 
 def _pnc_mask(modes) -> np.ndarray:
@@ -363,8 +375,8 @@ def _downlink(states: Sequence[ChannelState]) -> _Phase:
     return _Phase(*broadcast_curve(as_states(states).g_rm))
 
 
-def _stationary_x(ph: _Phase, beta):
-    """Unclamped stationary points x = 2^rate at beta > 0, scalar or column vector."""
+def _stationary_x(ph: _Phase, beta: float):
+    """Unclamped stationary points x = 2^rate at a scalar beta > 0."""
     if ph.all_linear:
         return beta * ph.inv_qb
     # the root of qa x^2 + qb x = beta as 2s / (t + sqrt(t^2 + 4 qa)) with
@@ -378,28 +390,20 @@ def _stationary_x(ph: _Phase, beta):
     return x
 
 
-def _rates(ph: _Phase, beta, allowed=None):
-    """Clamped stationary rates; states outside `allowed` (None: every state) stay silent."""
-    r = np.log2(np.maximum(_stationary_x(ph, beta), 1.0))
-    return r if allowed is None else np.where(allowed, r, 0.0)
-
-
-def _rate_slope(ph: _Phase, beta: float, allowed=None):
-    """Mean rate over the allowed states and its derivative in ln(beta).
+def _rate_slope(ph: _Phase, beta: float):
+    """Mean clamped stationary rate, its derivative in ln(beta), and the rates.
 
     Per active state the derivative is (qa x + qb) / ((2 qa x + qb) ln2),
     which is 1/ln2 on a linear curve.
     """
     x = np.maximum(_stationary_x(ph, beta), 1.0)
     r = np.log2(x)
-    if allowed is not None:
-        r *= allowed
     if ph.all_linear:
         slope = int(np.count_nonzero(r)) / LN2  # a float, so d' overflows to inf quietly
     else:
         qx = ph.qa * x
         slope = float(((qx + ph.qb) / ((2.0 * qx + ph.qb) * LN2)).sum(where=r > 0.0))
-    return float(r.sum()) / ph.n, slope / ph.n
+    return float(r.sum()) / ph.n, slope / ph.n, r
 
 
 def _powers(ph: _Phase, rates):
@@ -420,8 +424,8 @@ def _powers(ph: _Phase, rates):
     return p, slope, env
 
 
-def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=None,
-                      warm: tuple[float, float, float] | None = None) -> tuple[float, float]:
+def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
+                      warm: tuple[float, float, float] | None = None):
     """Solve mean_rate(beta) = target for beta >= 0 by Newton steps in u = ln beta.
 
     `_rate_slope` gives the mean rate and its slope in u. The rate is
@@ -433,23 +437,24 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=No
     factor 4 while that side is open, else the geometric midpoint. The
     search stops at a rate error of 1e-15 relative, or 3 steps after it is
     within opts.rate_rtol, or where a step no longer moves beta. Returns
-    beta and the slope at beta (0 for target 0). Raises RuntimeError when
-    beta would overflow float64 or after opts.max_bisect_iter steps.
+    beta with the slope and the clamped rates of its probe (0, 0 and zeros
+    for target 0). Raises RuntimeError when beta would overflow float64 or
+    after opts.max_bisect_iter steps.
     """
     if target <= 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, np.zeros(ph.n)
     t0, b0, s0 = warm or (target, 1.0, 1.0)
     beta = min(b0 * math.exp(min((target - t0) / s0, 709.0)), _MAX) or b0  # b0 on underflow
     lo, hi = 0.0, math.inf
     polish = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(opts.max_bisect_iter):
-            rate, slope = _rate_slope(ph, beta, allowed)
+            rate, slope, rates = _rate_slope(ph, beta)
             err = rate - target
             close = abs(err) <= opts.rate_rtol * target
             polish += close
             if polish > 3 or abs(err) <= 1e-15 * target:
-                return beta, slope
+                return beta, slope, rates
             if err < 0.0:
                 lo = beta
             else:
@@ -458,7 +463,7 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=No
             nxt = beta * math.exp(min(step, 709.0))
             if not lo < nxt < hi:
                 if close:
-                    return beta, slope  # no Newton step left inside the bracket
+                    return beta, slope, rates  # no Newton step left inside the bracket
                 if 0.0 < lo and hi < math.inf:
                     nxt = math.sqrt(lo) * math.sqrt(hi)
                 else:
@@ -471,15 +476,9 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions, allowed=No
     raise RuntimeError("multiplier search did not reach tolerance within the iteration cap")
 
 
-def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, allowed, warm):
-    """Multiplier, its rate slope, rates, powers and mean envelope term at the rate target.
-
-    States outside `allowed` (None means every state) stay silent; the rest
-    follow the clamped stationary map. Raises RuntimeError when the
-    multiplier or a power overflows float64.
-    """
-    beta, slope = _solve_multiplier(ph, target, opts, allowed, warm)
-    rates = _rates(ph, beta, allowed)
+def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, warm):
+    """Multiplier, rate slope, rates, powers and mean envelope term; RuntimeError on overflow."""
+    beta, slope, rates = _solve_multiplier(ph, target, opts, warm)
     p, _, env = _powers(ph, rates)
     return beta, slope, rates, p, float(env)
 
@@ -491,7 +490,7 @@ _SplitEval = namedtuple(
 
 
 def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: SolverOptions,
-                    allowed, warm: dict):
+                    warm: dict):
     """Solve both phases at a fixed split: (derivative d, Newton step d / d', evaluation).
 
     d = mean_dup - mean_ddn is the derivative of the reduced objective in
@@ -507,11 +506,11 @@ def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: Solver
     f_d = 1.0 - f_u
     t1, t2 = lam / f_u, lam / f_d
     try:
-        beta1, s1, r_u, p_u, dup = _solve_phase(up, t1, opts, allowed, warm.get("up"))
+        beta1, s1, r_u, p_u, dup = _solve_phase(up, t1, opts, warm.get("up"))
     except RuntimeError:
         return -math.inf, math.nan, None
     try:
-        beta2, s2, r_d, p_d, ddn = _solve_phase(dn, t2, opts, None, warm.get("dn"))
+        beta2, s2, r_d, p_d, ddn = _solve_phase(dn, t2, opts, warm.get("dn"))
     except RuntimeError:
         return math.inf, math.nan, None
     warm["up"], warm["dn"] = (t1, beta1, s1), (t2, beta2, s2)
@@ -533,7 +532,7 @@ def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: Solver
     return dup - ddn, math.ldexp(dup - ddn, -e) / slope, ev
 
 
-def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allowed,
+def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions,
                   warm: dict) -> _SplitEval | None:
     """Stationary split for a fixed silent set, by bracketed Newton steps.
 
@@ -561,7 +560,7 @@ def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions, allow
     last = False
     while not last:
         last = hi - lo < opts.f_tol
-        d, step, ev = _evaluate_split(up, dn, lam, f, opts, allowed, warm)
+        d, step, ev = _evaluate_split(up, dn, lam, f, opts, warm)
         unprobed.discard(f)
         if ev is not None:
             if abs(d) < best_d:
@@ -604,10 +603,8 @@ def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions) -> 
 
     def energy(k: int) -> float:
         if k not in found:
-            allowed = np.ones(up.n, dtype=bool)
-            allowed[order[:k]] = False
-            found[k] = (_search_split(up, dn, lam, opts, allowed if k else None, warm)
-                        if allowed.any() else None)
+            found[k] = (None if k == up.n else
+                        _search_split(up.silenced(order[:k]), dn, lam, opts, warm))
         return math.inf if found[k] is None else found[k].energy
 
     if energy(0) == math.inf:
@@ -764,12 +761,12 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
         return np.zeros_like(f)
     energy = 0.0
     for ph, g in ((_uplink(st, modes), f), (_downlink(st), 1.0 - f)):
-        betas, warm = [], None
+        rates, warm = [], None
         for target in (target_rate / g).tolist():
-            warm = (target, *_solve_multiplier(ph, target, opts, None, warm))
-            betas.append(warm[1])
-        rates = _rates(ph, np.array(betas)[:, None])
-        energy = energy + g * _powers(ph, rates)[0].mean(axis=1)
+            beta, slope, r = _solve_multiplier(ph, target, opts, warm)
+            warm = (target, beta, slope)
+            rates.append(r)
+        energy = energy + g * _powers(ph, np.array(rates))[0].mean(axis=1)
     return energy
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -191,6 +192,8 @@ def sample_states(n: int, seed: int, model: FadingModel = FadingModel()) -> Stat
     overwrites the downlink columns. A deterministic model ignores the
     seed and returns its state list as columns; `n` must match its length.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"the number of states must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1 states, got {n}")
     if model.kind == DETERMINISTIC:

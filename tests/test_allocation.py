@@ -31,7 +31,8 @@ from twrelay import (
     solve_fixed_modes,
 )
 from twrelay import allocation
-from twrelay.allocation import _downlink, _evaluate_split, _powers, _uplink
+from twrelay.allocation import (_downlink, _evaluate_split, _powers, _rate_slope,
+                                _stationary_x, _uplink)
 from twrelay.cli import ExperimentConfig, run_sweep
 
 LN2 = math.log(2.0)
@@ -154,6 +155,35 @@ def test_mixed_linear_and_quadratic_curves_at_a_huge_multiplier():
     assert 1e284 < b1 < math.inf
     rates = [pnc_rate_given_beta1(b1, states[0]), dnc_rate_given_beta1(b1, states[1])]
     assert abs(np.mean(rates) - 764.0) <= 1e-12 * 764.0
+
+
+def test_a_silenced_phase_is_the_masked_rate_map():
+    # holding PNC states silent by zeroing their x per unit of beta must be
+    # the plain map with those rates set to 0, bit for bit, at any beta
+    rng = np.random.default_rng(19)
+    for trial in range(200):
+        n = int(rng.integers(1, 51))
+        states, modes = rand_instance(rng, n)
+        full = _uplink(states, modes)
+        pnc = np.flatnonzero([m is Mode.PNC for m in modes])
+        idx = pnc[rng.random(pnc.size) < 0.5]
+        silent = np.zeros(n, dtype=bool)
+        silent[idx] = True
+        quiet = full.silenced(idx)
+        for beta in np.exp(rng.uniform(math.log(1e-300), 999.0 * LN2, size=8)).tolist():
+            _, _, rates = _rate_slope(full, beta)
+            masked = np.where(silent, 0.0, rates)
+            mean, slope, got = _rate_slope(quiet, beta)
+            assert got.tobytes() == masked.tobytes(), (trial, beta)
+            assert mean == float(masked.sum()) / n
+            if full.all_linear:
+                want = np.count_nonzero(masked) / LN2 / n
+            else:
+                x = np.maximum(_stationary_x(full, beta), 1.0)
+                qx = full.qa * x
+                want = float(((qx + full.qb) / ((2.0 * qx + full.qb) * LN2))
+                             .sum(where=masked > 0.0)) / n
+            assert slope == want, (trial, beta)
 
 
 # ----------------------------------------------------------- power curves
@@ -446,18 +476,19 @@ def test_split_slope_matches_a_central_difference():
         lam = float(rng.uniform(0.3, 2.5))
         f = float(rng.uniform(0.3, 0.7))
         up, dn = _uplink(states, modes), _downlink(states)
-        d, step, _ = _evaluate_split(up, dn, lam, f, opts, None, {})
+        d, step, _ = _evaluate_split(up, dn, lam, f, opts, {})
         slope = d / step
-        d_plus = _evaluate_split(up, dn, lam, f + h, opts, None, {})[0]
-        d_minus = _evaluate_split(up, dn, lam, f - h, opts, None, {})[0]
+        d_plus = _evaluate_split(up, dn, lam, f + h, opts, {})[0]
+        d_minus = _evaluate_split(up, dn, lam, f - h, opts, {})[0]
         central = (d_plus - d_minus) / (2.0 * h)
         assert abs(slope - central) <= 1e-6 * slope, (trial, slope, central)
 
 
 def test_split_search_work_on_the_default_sweep(monkeypatch):
     # the Newton steps take a handful of evaluations per split search, and
-    # each warm-started multiplier solve a pass or two
-    counts = {"_search_split": 0, "_evaluate_split": 0, "_rate_slope": 0}
+    # each warm-started multiplier solve a pass or two; the rates come from
+    # the last of those passes, so no stationary point is computed twice
+    counts = {"_search_split": 0, "_evaluate_split": 0, "_rate_slope": 0, "_stationary_x": 0}
 
     def counted(name):
         inner = getattr(allocation, name)
@@ -474,6 +505,7 @@ def test_split_search_work_on_the_default_sweep(monkeypatch):
     assert counts["_search_split"] == 154
     assert counts["_evaluate_split"] <= 600
     assert counts["_rate_slope"] <= 2100
+    assert counts["_stationary_x"] == counts["_rate_slope"]
 
 
 @pytest.mark.parametrize("gains, end", [((1e4, 1e4, 1e-4, 1e-4), "f_lo"),
@@ -561,6 +593,9 @@ def test_bad_solver_options_rejected():
         SolverOptions(rate_rtol=0.0)
     with pytest.raises(ValueError, match="rate_rtol < 1"):
         SolverOptions(rate_rtol=1.0)  # a silent probe would count as close
+    for steps in (2.5, True, 0):  # a float cap raised TypeError at the first solve
+        with pytest.raises(ValueError, match="max_bisect_iter must be an integer"):
+            SolverOptions(max_bisect_iter=steps)
 
 
 def test_options_are_plain_data():

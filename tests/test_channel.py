@@ -42,6 +42,16 @@ def test_deterministic_model_is_passthrough():
         sample_states(4, 999, model)
 
 
+@pytest.mark.parametrize("kind", ["rayleigh", DETERMINISTIC])
+@pytest.mark.parametrize("n", [3.0, 2.5, True])
+def test_state_count_must_be_an_integer(n, kind):
+    # a float count raised numpy's TypeError, or matched a 3-state list,
+    # and True drew one state
+    model = FadingModel(kind=kind, states=[ChannelState(1.0, 1.0, 1.0, 1.0)] * 3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        sample_states(n, 1, model)
+
+
 def test_sample_mean_near_unity(seed7_states):
     mean = np.mean([s.g1r for s in seed7_states])
     assert 0.9 <= mean <= 1.1
