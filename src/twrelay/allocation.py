@@ -23,9 +23,21 @@ bracketed Newton steps find it (`_search_split`).
 Both phases run through one water-filling core. With x = 2^rate every
 state's power is a (x - o) + b x (x - 1), with the coefficients from
 `ratepower`: linear for the broadcast and PNC, quadratic for SPC-DNC. A
-`_Phase` holds them per state, and `_rate_slope` and `_powers` give the
-clamped stationary rates with their mean and its slope in ln(beta), and the
-powers with their slopes and envelope terms, for either phase.
+`_Phase` holds them per state. A split probe needs four numbers of each
+phase: the mean rate, its slope in ln(beta), the mean power and the mean
+envelope term, which at a stationary point is the mean power less beta
+times the mean rate. A linear curve is active where beta > qb, at rate
+log2(beta / qb) and power beta / ln2 - a o, so each phase keeps its linear
+states sorted by qb with prefix sums of log2 qb (taken from the first) and
+of a o, and a probe sums the m active ones from those in O(log n); the
+quadratic curves take one pass over their own states (`_rate_sums`,
+`_mean_power`). This is the sorted-breakpoint water-filling of Palomar and
+Fonollosa, "Practical algorithms for a family of waterfilling solutions",
+IEEE Trans. Signal Processing 53(2), 2005. The per-state map, `_rate_slope`
+and `_powers`, builds the rates and powers of the one probe a fixed-mode
+solve returns, and serves `kkt_residuals`, the single-state rate maps and
+`scan_split_energies`, so the certificate does not share the probe's
+shortcut.
 
 One wrinkle is handled beyond the plain water-filling map: a silent state
 consumes no power, but the PNC power curve does not vanish at zero rate
@@ -38,8 +50,10 @@ worth trying are therefore the prefixes of the PNC states sorted by c,
 largest first, and that order does not depend on the multiplier. The
 silent prefix is chosen outside the split search, which is convex once the
 prefix is fixed (`_optimize_split`). A prefix is applied as a phase of its
-own, `_Phase.silenced`: PNC curves are linear, so zeroing their stationary x
-per unit of beta holds them at rate 0 for every multiplier.
+own, `_Phase.silenced`. The states silenced first have the largest qb, so
+the prefix is the tail of the sorted table and a cap on m; and PNC curves
+are linear, so zeroing their stationary x per unit of beta holds them at
+rate 0 in the per-state map for every multiplier.
 
 The solvers take any sequence of `ChannelState`s and work on its columns
 (`channel.as_states`, free for a `States`), and an `Allocation` keeps its
@@ -323,28 +337,65 @@ class _Phase:
     At multiplier beta a state's stationary point solves P'(rate) = beta,
     that is qa x^2 + qb x = beta with qa = 2 ln2 b and qb = ln2 (a - b);
     linear curves (b = 0: the broadcast and PNC) give x = beta / qb.
+
+    The linear states also form a table for `_rate_sums`: `table` lists them
+    by x per unit of beta, largest first (ties by descending index), so the
+    states active at any beta are a head of it, at most `cap` long.
+    `neg_inv` holds -inv_qb in that order, `log_sum[m]` the sum of
+    log2(inv_qb[table[0]] / inv_qb[table[i]]) over its first m entries and
+    `ao_sum[m]` that of a o. `quad` holds (qa, qa4, qb, a, o, b) of the
+    quadratic states, or None when there are none.
     """
 
     __slots__ = ("n", "a", "o", "b", "qa", "qa4", "qb", "inv_qb", "linear",
-                 "all_linear", "any_linear")
+                 "all_linear", "any_linear", "table", "neg_inv", "log_sum", "ao_sum",
+                 "cap", "quad")
 
     def __init__(self, a, o, b):
         self.a, self.o, self.b = np.broadcast_arrays(a, o, b)
         self.n = self.a.size
-        self.qa = 2.0 * LN2 * self.b
-        self.qa4 = 4.0 * self.qa
         self.qb = LN2 * (self.a - self.b)
         self.linear = self.b == 0.0
         self.all_linear = bool(self.linear.all())
         self.any_linear = bool(self.linear.any())
         # stationary x per unit of beta on the linear curves
         self.inv_qb = np.divide(1.0, self.qb, out=np.zeros(self.n), where=self.linear)
+        self.qa = self.qa4 = self.quad = None
+        if not self.all_linear:
+            self.qa = 2.0 * LN2 * self.b
+            self.qa4 = 4.0 * self.qa
+            self.quad = (self.qa, self.qa4, self.qb, self.a, self.o, self.b)
+            if self.any_linear:
+                # the quadratic states' rows of one block: separate copies
+                # fragment the heap enough to raise a 50k solve's peak memory
+                quad = ~self.linear
+                block = np.empty((len(self.quad), int(np.count_nonzero(quad))))
+                for row, v in zip(block, self.quad):
+                    np.compress(quad, v, out=row)
+                self.quad = tuple(block)
+        lin = np.flatnonzero(self.linear)
+        self.table = lin[np.argsort(self.inv_qb[lin], kind="stable")[::-1]]
+        self.cap = m = lin.size
+        self.neg_inv = self.inv_qb[self.table]
+        np.negative(self.neg_inv, out=self.neg_inv)
+        self.log_sum, self.ao_sum = np.zeros(m + 1), np.zeros(m + 1)
+        if m:
+            ratio = np.divide(self.neg_inv[0], self.neg_inv)  # inv_qb[table[0]] / inv_qb
+            np.cumsum(np.log2(ratio, out=ratio), out=self.log_sum[1:])
+            ao = self.a[self.table]
+            np.cumsum(np.multiply(ao, self.o[self.table], out=ao), out=self.ao_sum[1:])
 
     def silenced(self, idx) -> "_Phase":
-        """Copy with the states at `idx` silent at every beta; `idx` must index linear curves."""
+        """Copy with the states at `idx` silent at every beta; `idx` must index linear curves.
+
+        The per-state map holds any such states at rate 0; the table's sums
+        do so only for its tail, the linear states with the largest qb, which
+        is what `_optimize_split` silences.
+        """
         out = copy.copy(self)
         out.inv_qb = self.inv_qb.copy()
         out.inv_qb[idx] = 0.0
+        out.cap = self.cap - len(idx)
         return out
 
 
@@ -375,15 +426,20 @@ def _downlink(states: Sequence[ChannelState]) -> _Phase:
     return _Phase(*broadcast_curve(as_states(states).g_rm))
 
 
-def _stationary_x(ph: _Phase, beta: float):
-    """Unclamped stationary points x = 2^rate at a scalar beta > 0."""
+def _quadratic_x(qa4, qb, beta: float):
+    """Positive root x of qa x^2 + qb x = beta at a scalar beta > 0, per state."""
+    # as 2s / (t + sqrt(t^2 + 4 qa)) with s = sqrt(beta), t = qb / s, which
+    # neither cancels nor overflows before x
+    s = np.sqrt(beta)
+    t = qb / s
+    return 2.0 * s / (t + np.sqrt(t * t + qa4))
+
+
+def _stationary_x(ph: _Phase, beta):
+    """Unclamped stationary points x = 2^rate at beta > 0: a scalar, or a column (a row each)."""
     if ph.all_linear:
         return beta * ph.inv_qb
-    # the root of qa x^2 + qb x = beta as 2s / (t + sqrt(t^2 + 4 qa)) with
-    # s = sqrt(beta), t = qb / s neither cancels nor overflows before x
-    s = np.sqrt(beta)
-    t = ph.qb / s
-    x = 2.0 * s / (t + np.sqrt(t * t + ph.qa4))
+    x = _quadratic_x(ph.qa4, ph.qb, beta)
     if ph.any_linear:
         # with qa = 0 that root comes out as 2 beta / qb once t^2 underflows
         x = np.where(ph.linear, beta * ph.inv_qb, x)
@@ -424,11 +480,60 @@ def _powers(ph: _Phase, rates):
     return p, slope, env
 
 
+def _active(ph: _Phase, beta: float) -> int:
+    """How many linear states are active at beta > 0: a head of the table, capped.
+
+    A state is active where beta inv_qb > 1 in float64, as in the per-state
+    map. That product grows with inv_qb, so the active states are those
+    with inv_qb at least the least float t with beta t > 1.
+    """
+    t = 1.0 / beta
+    while beta * t > 1.0:
+        t = math.nextafter(t, 0.0)
+    while not beta * t > 1.0:
+        t = math.nextafter(t, math.inf)
+    return min(int(ph.neg_inv.searchsorted(-t, "right")), ph.cap)
+
+
+def _rate_sums(ph: _Phase, beta: float):
+    """`_rate_slope`'s mean rate and slope at beta > 0, from the table's sums.
+
+    The m active linear states add m log2(beta inv0) - log_sum[m] to the
+    rate sum, where inv0 leads the table, and m / ln2 to the slope; the
+    quadratic states take one pass. Returns (mean rate, slope, m, clamped x
+    of the quadratic states or None), the last two for `_mean_power`.
+    """
+    m = _active(ph, beta) if ph.cap else 0
+    rate = m * math.log2(-beta * ph.neg_inv[0]) - float(ph.log_sum[m]) if m else 0.0
+    slope = m / LN2
+    x = None
+    if ph.quad is not None:
+        qa, qa4, qb = ph.quad[:3]
+        x = np.maximum(_quadratic_x(qa4, qb, beta), 1.0)
+        r = np.log2(x)
+        rate += float(r.sum())
+        qx = qa * x
+        slope += float(((qx + qb) / ((2.0 * qx + qb) * LN2)).sum(where=r > 0.0))
+    return rate / ph.n, slope / ph.n, m, x
+
+
+def _mean_power(ph: _Phase, beta: float, m: int, x) -> float:
+    """Mean power at beta of a `_rate_sums` probe with m active linear states and quadratic x.
+
+    An active linear state costs a (beta inv_qb - o), and a inv_qb = 1/ln2.
+    """
+    power = beta * m / LN2 - float(ph.ao_sum[m])
+    if x is not None:
+        a, o, b = ph.quad[3:]
+        power += float(curve_power(x, a, o, b).sum(where=x > 1.0))
+    return power / ph.n
+
+
 def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
                       warm: tuple[float, float, float] | None = None):
     """Solve mean_rate(beta) = target for beta >= 0 by Newton steps in u = ln beta.
 
-    `_rate_slope` gives the mean rate and its slope in u. The rate is
+    `_rate_sums` gives the mean rate and its slope in u. The rate is
     nondecreasing in u, and for PNC and downlink states linear in u between
     the points where a state leaves its clamp, where a step is exact. Steps
     start at 1, or at the step beta0 exp((target - target0) / slope0) from a
@@ -437,24 +542,24 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
     factor 4 while that side is open, else the geometric midpoint. The
     search stops at a rate error of 1e-15 relative, or 3 steps after it is
     within opts.rate_rtol, or where a step no longer moves beta. Returns
-    beta with the slope and the clamped rates of its probe (0, 0 and zeros
-    for target 0). Raises RuntimeError when beta would overflow float64 or
-    after opts.max_bisect_iter steps.
+    beta with its probe's mean rate, slope, m and x (`_rate_sums`; 0, 0, 0,
+    0 and None for target 0). Raises RuntimeError when beta would overflow
+    float64 or after opts.max_bisect_iter steps.
     """
     if target <= 0.0:
-        return 0.0, 0.0, np.zeros(ph.n)
+        return 0.0, 0.0, 0.0, 0, None
     t0, b0, s0 = warm or (target, 1.0, 1.0)
     beta = min(b0 * math.exp(min((target - t0) / s0, 709.0)), _MAX) or b0  # b0 on underflow
     lo, hi = 0.0, math.inf
     polish = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(opts.max_bisect_iter):
-            rate, slope, rates = _rate_slope(ph, beta)
+            rate, slope, m, x = _rate_sums(ph, beta)
             err = rate - target
             close = abs(err) <= opts.rate_rtol * target
             polish += close
             if polish > 3 or abs(err) <= 1e-15 * target:
-                return beta, slope, rates
+                return beta, rate, slope, m, x
             if err < 0.0:
                 lo = beta
             else:
@@ -463,7 +568,7 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
             nxt = beta * math.exp(min(step, 709.0))
             if not lo < nxt < hi:
                 if close:
-                    return beta, slope, rates  # no Newton step left inside the bracket
+                    return beta, rate, slope, m, x  # no Newton step left inside the bracket
                 if 0.0 < lo and hi < math.inf:
                     nxt = math.sqrt(lo) * math.sqrt(hi)
                 else:
@@ -477,16 +582,33 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
 
 
 def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, warm):
-    """Multiplier, rate slope, rates, powers and mean envelope term; RuntimeError on overflow."""
-    beta, slope, rates = _solve_multiplier(ph, target, opts, warm)
+    """Multiplier, rate slope, active linear states, mean power and mean envelope term.
+
+    At a stationary point P'(rate) = beta on every active state, so the
+    mean envelope term is the mean power less beta times the mean rate.
+    Raises RuntimeError where the sum of either over the states overflows
+    float64, as `_powers` does, so that the per-state map can build the
+    probe returned.
+    """
+    beta, rate, slope, m, x = _solve_multiplier(ph, target, opts, warm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = _mean_power(ph, beta, m, x)
+    env = power - beta * rate
+    if not (math.isfinite(power) and math.isfinite(env * ph.n)):
+        raise RuntimeError("transmit power overflows float64")
+    return beta, slope, m, power, env
+
+
+def _per_state(ph: _Phase, beta: float):
+    """Rates, powers and mean envelope term of the per-state map at beta."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rates = _rate_slope(ph, beta)[2]
     p, _, env = _powers(ph, rates)
-    return beta, slope, rates, p, float(env)
+    return rates, p, float(env)
 
 
-_SplitEval = namedtuple(
-    "_SplitEval",
-    "f_u energy beta1 beta2 rates_u rates_d powers_u powers_d mean_dup mean_ddn",
-)
+# active_u: the linear (PNC) uplink states active at beta1
+_SplitEval = namedtuple("_SplitEval", "f_u energy beta1 beta2 active_u mean_dup mean_ddn")
 
 
 def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: SolverOptions,
@@ -506,26 +628,16 @@ def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: Solver
     f_d = 1.0 - f_u
     t1, t2 = lam / f_u, lam / f_d
     try:
-        beta1, s1, r_u, p_u, dup = _solve_phase(up, t1, opts, warm.get("up"))
+        beta1, s1, m_u, p_u, dup = _solve_phase(up, t1, opts, warm.get("up"))
     except RuntimeError:
         return -math.inf, math.nan, None
     try:
-        beta2, s2, r_d, p_d, ddn = _solve_phase(dn, t2, opts, warm.get("dn"))
+        beta2, s2, _, p_d, ddn = _solve_phase(dn, t2, opts, warm.get("dn"))
     except RuntimeError:
         return math.inf, math.nan, None
     warm["up"], warm["dn"] = (t1, beta1, s1), (t2, beta2, s2)
-    ev = _SplitEval(
-        f_u=f_u,
-        energy=float(np.mean(f_u * p_u + f_d * p_d)),
-        beta1=beta1,
-        beta2=beta2,
-        rates_u=r_u,
-        rates_d=r_d,
-        powers_u=p_u,
-        powers_d=p_d,
-        mean_dup=dup,
-        mean_ddn=ddn,
-    )
+    ev = _SplitEval(f_u=f_u, energy=f_u * p_u + f_d * p_d, beta1=beta1, beta2=beta2,
+                    active_u=m_u, mean_dup=dup, mean_ddn=ddn)
     e = math.frexp(max(beta1, beta2))[1]
     slope = lam * lam * (math.ldexp(beta1, -e) / s1 / f_u ** 3
                          + math.ldexp(beta2, -e) / s2 / f_d ** 3)
@@ -585,11 +697,12 @@ def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions,
     return best
 
 
-def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions) -> _SplitEval:
-    """Cheapest split over the silent prefixes of the PNC states.
+def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions):
+    """Cheapest split over the silent prefixes of the PNC states, with its uplink phase.
 
     Prefix k silences the k PNC states with the largest inverse-gain sum
-    (module docstring). Each prefix gets its own split search, cached by k.
+    (module docstring), the tail of the uplink's table. Each prefix gets its
+    own split search, cached by k.
     Starting from the plain map (k = 0), k is set to the number of PNC
     states whose stationary point lies below x* at the current beta1 until
     a k repeats. Then, from the best prefix and while the energy falls, k
@@ -597,8 +710,8 @@ def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions) -> 
     that shrinks by one. Raises ValueError when no split is feasible.
     """
     warm: dict = {}
-    pnc = np.flatnonzero(up.o < 1.0)  # the only curves with a cost at rate 0
-    order = pnc[np.argsort(up.inv_qb[pnc], kind="stable")]
+    # the PNC states, the only curves with a cost at rate 0, by falling qb
+    order = up.table[::-1]
     found: dict[int, _SplitEval | None] = {}
 
     def energy(k: int) -> float:
@@ -623,14 +736,15 @@ def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions) -> 
         while True:
             # silence the next PNC state that is still active; the ones
             # between k and it are already held at zero by the clamp
-            j = int(np.count_nonzero(found[k].rates_u[order] == 0.0)) + 1
+            j = order.size - found[k].active_u + 1
             if j > order.size or energy(j) >= energy(k):
                 break
             k = j
         k = min(found, key=energy)
         while k > 0 and energy(k - 1) < energy(k):
             k -= 1
-    return found[min(found, key=energy)]
+    k = min(found, key=energy)
+    return found[k], up.silenced(order[:k])
 
 
 def _check_problem(states, modes, target_rate) -> None:
@@ -683,16 +797,21 @@ def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
         zero = np.zeros(len(st))
         per = StateAllocations(pnc, zero, zero, zero, zero)
         return Allocation(TimeSplit(0.5, 0.5), per, KktPoint(0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
-    ev = _optimize_split(_uplink(st, pnc), _downlink(st), target_rate, opts)
+    dn = _downlink(st)
+    ev, up = _optimize_split(_uplink(st, pnc), dn, target_rate, opts)
     f_u = ev.f_u
     f_d = 1.0 - f_u
+    # the per-state map, only for the probe returned
+    r_u, p_u, _ = _per_state(up, ev.beta1)
+    r_d, p_d, mean_ddn = _per_state(dn, ev.beta2)
+    del up, dn  # before the columns below are copied, where a solve peaks in memory
     return Allocation(
         split=TimeSplit(f_u, f_d),
-        per_state=StateAllocations(pnc, ev.rates_u, ev.rates_d, ev.powers_u, ev.powers_d),
-        duals=KktPoint(ev.beta1, ev.beta2, max(0.0, -ev.mean_ddn)),
-        avg_energy=ev.energy,
-        avg_rate_u=f_u * float(np.mean(ev.rates_u)),
-        avg_rate_d=f_d * float(np.mean(ev.rates_d)),
+        per_state=StateAllocations(pnc, r_u, r_d, p_u, p_d),
+        duals=KktPoint(ev.beta1, ev.beta2, max(0.0, -mean_ddn)),
+        avg_energy=float(np.mean(f_u * p_u + f_d * p_d)),
+        avg_rate_u=f_u * float(np.mean(r_u)),
+        avg_rate_d=f_d * float(np.mean(r_d)),
     )
 
 
@@ -761,12 +880,15 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
         return np.zeros_like(f)
     energy = 0.0
     for ph, g in ((_uplink(st, modes), f), (_downlink(st), 1.0 - f)):
-        rates, warm = [], None
+        betas, warm = [], None
         for target in (target_rate / g).tolist():
-            beta, slope, r = _solve_multiplier(ph, target, opts, warm)
+            beta, _, slope, _, _ = _solve_multiplier(ph, target, opts, warm)
             warm = (target, beta, slope)
-            rates.append(r)
-        energy = energy + g * _powers(ph, np.array(rates))[0].mean(axis=1)
+            betas.append(beta)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # `_rate_slope`'s per-state map, a row per grid point
+            rates = np.log2(np.maximum(_stationary_x(ph, np.array(betas)[:, None]), 1.0))
+        energy = energy + g * _powers(ph, rates)[0].mean(axis=1)
     return energy
 
 

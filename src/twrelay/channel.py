@@ -196,6 +196,8 @@ def sample_states(n: int, seed: int, model: FadingModel = FadingModel()) -> Stat
         raise ValueError(f"the number of states must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1 states, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if model.kind == DETERMINISTIC:
         if n != len(model.states):
             raise ValueError(

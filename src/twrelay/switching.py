@@ -15,6 +15,7 @@ states that carry uplink rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,8 +85,8 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
     """
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     st = as_states(states)
     pnc = np.full(len(st), init_mode is Mode.PNC)
     alloc = solve_fixed_modes(st, pnc, target_rate, opts)

@@ -16,6 +16,7 @@ from twrelay import (
     Mode,
     SolverOptions,
     StateAllocation,
+    States,
     TimeSplit,
     dnc_rate_given_beta1,
     dnc_uplink_sum_power,
@@ -26,13 +27,14 @@ from twrelay import (
     pnc_uplink_sum_power,
     sample_states,
     scan_split_energies,
+    solve_baseline,
     solve_beta1,
     solve_beta2,
     solve_fixed_modes,
 )
 from twrelay import allocation
-from twrelay.allocation import (_downlink, _evaluate_split, _powers, _rate_slope,
-                                _stationary_x, _uplink)
+from twrelay.allocation import (_downlink, _evaluate_split, _mean_power, _powers, _rate_slope,
+                                _rate_sums, _search_split, _stationary_x, _uplink)
 from twrelay.cli import ExperimentConfig, run_sweep
 
 LN2 = math.log(2.0)
@@ -146,6 +148,15 @@ def test_multiplier_overflow_is_a_runtime_error_without_warnings():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_split_whose_envelope_sum_overflows_is_infeasible():
+    # a probe's envelope term is a mean, but the per-state map that builds
+    # the probe returned sums it over the states first; at lambda = 505
+    # that sum overflows at every split, which must end the search as "no
+    # feasible split", not raise the overflow after it
+    with pytest.raises(ValueError, match="no feasible time split"):
+        solve_fixed_modes(sample_states(1000, 3), [Mode.PNC] * 1000, 505.0)
+
+
 def test_mixed_linear_and_quadratic_curves_at_a_huge_multiplier():
     # beta near 1e295: for the PNC state t = qb / sqrt(beta) squares to a
     # subnormal, where the quadratic root loses digits (and doubles once
@@ -184,6 +195,50 @@ def test_a_silenced_phase_is_the_masked_rate_map():
                 want = float(((qx + full.qb) / ((2.0 * qx + full.qb) * LN2))
                              .sum(where=masked > 0.0)) / n
             assert slope == want, (trial, beta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 10_000])
+def test_table_sums_equal_the_per_state_map(n):
+    # a split probe takes its mean rate, slope, mean power and envelope
+    # term from the table (`_rate_sums`, `_mean_power`): they must be the
+    # per-state map's, and its active count the per-state count of linear
+    # states at a positive rate, on every kind of phase, with ties in qb,
+    # silent prefixes, beta at a breakpoint and beyond the last one
+    rng = np.random.default_rng(n)
+    st = sample_states(n, n)
+    pick = np.where(rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, n))  # repeats
+    st = States(st.g1r[pick], st.g2r[pick], st.gr1[pick], st.gr2[pick])
+    masks = {"pnc": np.ones(n, bool), "spc-dnc": np.zeros(n, bool), "mixed": rng.random(n) < 0.5}
+    phases = [("downlink", _downlink(st))]
+    for label, pnc in masks.items():
+        up = _uplink(st, pnc)
+        order = up.table[::-1]
+        for k in sorted({0, 1, order.size // 3, order.size - 1, order.size}
+                        & set(range(order.size + 1))):
+            phases.append((f"{label}, {k} silent", up.silenced(order[:k])))
+    for label, ph in phases:
+        # every state's breakpoint, the beta where it leaves the clamp (qa = 0
+        # on a linear curve)
+        kinks = ph.qb if ph.qa is None else ph.qa + ph.qb
+        lo, hi = kinks.min(), kinks.max()
+        betas = [lo, np.nextafter(lo, np.inf), *rng.choice(kinks, min(n, 5), replace=False),
+                 4.0 * hi, *np.exp(rng.uniform(np.log(lo), np.log(hi) + 2.0, 5))]
+        for beta in map(float, betas):
+            rate, slope, m, x = _rate_sums(ph, beta)
+            power = _mean_power(ph, beta, m, x)
+            want_rate, want_slope, rates = _rate_slope(ph, beta)
+            p, _, want_env = _powers(ph, rates)
+            assert m == np.count_nonzero(rates[ph.linear] > 0.0), (label, beta)
+            # just past a breakpoint a power a (x - o) + b x (x - 1) is at the
+            # rounding level of the terms that cancel in it, in the per-state
+            # map as well, so it is compared on their scale
+            xs = np.exp2(rates)
+            gross = float(np.sum(ph.a * xs + ph.b * xs * xs, where=rates > 0.0)) / n
+            for name, got, want, floor in (("rate", rate, want_rate, 0.0),
+                                           ("slope", slope, want_slope, 0.0),
+                                           ("power", power, p.mean(), gross),
+                                           ("envelope", power - beta * rate, want_env, gross)):
+                assert abs(got - want) <= 1e-12 * max(abs(want), floor), (label, beta, name)
 
 
 # ----------------------------------------------------------- power curves
@@ -331,6 +386,57 @@ def test_prefix_search_matches_the_subset_search(seed, n, lam, label, pinned):
         modes = [Mode.PNC if i % 2 == 0 else Mode.SPCDNC for i in range(n)]
     alloc = solve_fixed_modes(sample_states(n, seed), modes, lam)
     assert alloc.avg_energy <= pinned * (1.0 + 1e-9)
+
+
+# energies on sample_states(n, 5) before the split probe took its sums from
+# the sorted table: (n, modes, target, energy); "mixed" is PNC on every
+# third state
+SMALL_TARGET_ENERGIES = [
+    (1000, "pnc", 1e-09, 2.686019858549471e-07),
+    (1000, "pnc", 1e-06, 1.0184260849957972e-06),
+    (1000, "pnc", 0.001, 0.001049088773613867),
+    (1000, "pnc", 1.0, 10.313529914105942),
+    (1000, "pnc", 4.0, 1112.9153628687786),
+    (1000, "spc-dnc", 1e-09, 5.858533618197051e-10),
+    (1000, "spc-dnc", 1e-06, 5.863152843510508e-07),
+    (1000, "spc-dnc", 0.001, 0.0007083660322953544),
+    (1000, "spc-dnc", 1.0, 14.203602915656997),
+    (1000, "spc-dnc", 4.0, 6754.580490360241),
+    (1000, "mixed", 1e-09, 5.858533618436016e-10),
+    (1000, "mixed", 1e-06, 5.864309845630291e-07),
+    (1000, "mixed", 0.001, 0.0007306792133061812),
+    (1000, "mixed", 1.0, 12.307655395308212),
+    (1000, "mixed", 4.0, 2832.273772600265),
+    (100_000, "pnc", 1e-09, 1.868750984716035e-09),
+    (100_000, "pnc", 1e-06, 5.769802477894629e-07),
+    (100_000, "pnc", 0.001, 0.00095275533780189),
+    (100_000, "pnc", 1.0, 9.893109272508147),
+    (100_000, "pnc", 4.0, 1051.2324811267158),
+    (100_000, "spc-dnc", 1e-09, 3.268071561149933e-10),
+    (100_000, "spc-dnc", 1e-06, 3.496020444466744e-07),
+    (100_000, "spc-dnc", 0.001, 0.0007144565056493448),
+    (100_000, "spc-dnc", 1.0, 13.55048868396554),
+    (100_000, "spc-dnc", 4.0, 6481.995882086699),
+    (100_000, "mixed", 1e-09, 3.268071561149944e-10),
+    (100_000, "mixed", 1e-06, 3.5291129515144445e-07),
+    (100_000, "mixed", 0.001, 0.0007407654822142367),
+    (100_000, "mixed", 1.0, 11.759419752338806),
+    (100_000, "mixed", 4.0, 2687.758204181106),
+]
+
+
+@pytest.mark.parametrize("n,label,lam,pinned", SMALL_TARGET_ENERGIES)
+def test_small_targets_deliver_their_rate(n, label, lam, pinned):
+    # m log2(beta inv0) - log_sum[m] cancels at tiny rates; the per-state
+    # rates of the returned probe must still carry the target, and the
+    # energy stay where the per-state probes had it
+    pnc = {"pnc": np.ones(n, bool), "spc-dnc": np.zeros(n, bool),
+           "mixed": np.arange(n) % 3 == 0}[label]
+    alloc = solve_fixed_modes(sample_states(n, 5), pnc, lam)
+    per, floor = alloc.per_state, lam * (1.0 - SolverOptions().rate_rtol)
+    assert alloc.split.f_u * float(np.mean(per.rate_u)) >= floor
+    assert alloc.split.f_d * float(np.mean(per.rate_d)) >= floor
+    assert abs(alloc.avg_energy - pinned) <= 1e-9 * pinned
 
 
 # ---------------------------------------------------------- KKT residuals
@@ -486,9 +592,11 @@ def test_split_slope_matches_a_central_difference():
 
 def test_split_search_work_on_the_default_sweep(monkeypatch):
     # the Newton steps take a handful of evaluations per split search, and
-    # each warm-started multiplier solve a pass or two; the rates come from
-    # the last of those passes, so no stationary point is computed twice
-    counts = {"_search_split": 0, "_evaluate_split": 0, "_rate_slope": 0, "_stationary_x": 0}
+    # each warm-started multiplier solve a sum pass or two; the per-state
+    # map runs once per phase of each fixed-mode solve, for the probe it
+    # returns (one `_optimize_split` each)
+    counts = {"_search_split": 0, "_evaluate_split": 0, "_optimize_split": 0, "_rate_sums": 0,
+              "_rate_slope": 0, "_powers": 0, "_stationary_x": 0}
 
     def counted(name):
         inner = getattr(allocation, name)
@@ -504,8 +612,26 @@ def test_split_search_work_on_the_default_sweep(monkeypatch):
     run_sweep(ExperimentConfig())
     assert counts["_search_split"] == 154
     assert counts["_evaluate_split"] <= 600
-    assert counts["_rate_slope"] <= 2100
+    assert counts["_rate_sums"] <= 2100
+    assert counts["_rate_slope"] == counts["_powers"] == 2 * counts["_optimize_split"] == 94
     assert counts["_stationary_x"] == counts["_rate_slope"]
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_prefix_walk_matches_every_prefix_at_n_1000(seed):
+    # an optimal silent set is a prefix and each prefix's split problem is
+    # convex, so the best split search over all 1,000 prefixes is the
+    # PNC-only optimum, which the walk must reach with its few
+    states = sample_states(1000, seed)
+    up, dn = _uplink(states, np.ones(1000, bool)), _downlink(states)
+    order = up.table[::-1]
+    opts = SolverOptions()
+    for lam in (0.05, 0.25, 1.0, 3.0):
+        warm: dict = {}
+        evs = [_search_split(up.silenced(order[:k]), dn, lam, opts, warm) for k in range(1000)]
+        best = min(ev.energy for ev in evs if ev is not None)
+        walk = solve_baseline(states, lam, Mode.PNC).avg_energy
+        assert abs(walk - best) <= 1e-12 * best, (lam, walk, best)
 
 
 @pytest.mark.parametrize("gains, end", [((1e4, 1e4, 1e-4, 1e-4), "f_lo"),

@@ -52,6 +52,13 @@ def test_state_count_must_be_an_integer(n, kind):
         sample_states(n, 1, model)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True, "7"])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    # numpy's own errors did not name the seed
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        sample_states(3, seed)
+
+
 def test_sample_mean_near_unity(seed7_states):
     mean = np.mean([s.g1r for s in seed7_states])
     assert 0.9 <= mean <= 1.1

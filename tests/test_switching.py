@@ -157,3 +157,10 @@ def test_parameter_validation(unit_state):
         solve_switching([unit_state], 1.0, epsilon=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         solve_switching([unit_state], 1.0, max_iter=0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, True, 3.0])
+def test_iteration_cap_must_be_an_integer(max_iter):
+    # 2.5 ran 3 iterations and True ran 1
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        solve_switching(sample_states(20, 3), 1.0, epsilon=1e-300, max_iter=max_iter)
