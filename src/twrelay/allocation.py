@@ -427,7 +427,7 @@ def _downlink(states: Sequence[ChannelState]) -> _Phase:
 
 
 def _quadratic_x(qa4, qb, beta: float):
-    """Positive root x of qa x^2 + qb x = beta at a scalar beta > 0, per state."""
+    """Positive root x of qa x^2 + qb x = beta > 0 per state, beta a scalar or a column."""
     # as 2s / (t + sqrt(t^2 + 4 qa)) with s = sqrt(beta), t = qb / s, which
     # neither cancels nor overflows before x
     s = np.sqrt(beta)
