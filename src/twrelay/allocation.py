@@ -59,9 +59,15 @@ The solvers take any sequence of `ChannelState`s and work on its columns
 (`channel.as_states`, free for a `States`), and an `Allocation` keeps its
 per-state schedule as columns too (`StateAllocations`), so a solve builds
 no per-state object; a `StateAllocation` is made only when one is indexed.
+What depends on the gains alone is built once per `States` and kept in it:
+the downlink `_Phase`, and the order of every state by the PNC curve's x
+per unit of beta, from which each uplink `_Phase` takes its table without a
+sort (`_downlink`, `_pnc_order`).
 
 Everything here is deterministic: fixed-order numpy reductions, fixed
-iteration schedules, no RNG. All inputs are treated as immutable.
+iteration schedules, no RNG. All inputs are treated as immutable, apart
+from those values a `States` keeps, which depend on its read-only gains
+only, so no result depends on what was solved on it before.
 """
 
 from __future__ import annotations
@@ -345,13 +351,18 @@ class _Phase:
     log2(inv_qb[table[0]] / inv_qb[table[i]]) over its first m entries and
     `ao_sum[m]` that of a o. `quad` holds (qa, qa4, qb, a, o, b) of the
     quadratic states, or None when there are none.
+
+    `order` lists every state with its linear ones in table order
+    (`_linear_order`), so `table` picks them out without a sort. Inputs are
+    treated as immutable, and the arrays are read-only, since a `States`
+    keeps its downlink phase for every later solve (`_downlink`).
     """
 
     __slots__ = ("n", "a", "o", "b", "qa", "qa4", "qb", "inv_qb", "linear",
                  "all_linear", "any_linear", "table", "neg_inv", "log_sum", "ao_sum",
                  "cap", "quad")
 
-    def __init__(self, a, o, b):
+    def __init__(self, a, o, b, order):
         self.a, self.o, self.b = np.broadcast_arrays(a, o, b)
         self.n = self.a.size
         self.qb = LN2 * (self.a - self.b)
@@ -372,10 +383,10 @@ class _Phase:
                 block = np.empty((len(self.quad), int(np.count_nonzero(quad))))
                 for row, v in zip(block, self.quad):
                     np.compress(quad, v, out=row)
+                block.flags.writeable = False
                 self.quad = tuple(block)
-        lin = np.flatnonzero(self.linear)
-        self.table = lin[np.argsort(self.inv_qb[lin], kind="stable")[::-1]]
-        self.cap = m = lin.size
+        self.table = order[self.linear[order]]
+        self.cap = m = self.table.size
         self.neg_inv = self.inv_qb[self.table]
         np.negative(self.neg_inv, out=self.neg_inv)
         self.log_sum, self.ao_sum = np.zeros(m + 1), np.zeros(m + 1)
@@ -384,6 +395,10 @@ class _Phase:
             np.cumsum(np.log2(ratio, out=ratio), out=self.log_sum[1:])
             ao = self.a[self.table]
             np.cumsum(np.multiply(ao, self.o[self.table], out=ao), out=self.ao_sum[1:])
+        for name in self.__slots__:
+            v = getattr(self, name)
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
 
     def silenced(self, idx) -> "_Phase":
         """Copy with the states at `idx` silent at every beta; `idx` must index linear curves.
@@ -414,16 +429,39 @@ def _pnc_mask(modes) -> np.ndarray:
     return np.array([m is Mode.PNC for m in modes], dtype=bool)
 
 
+def _linear_order(a) -> np.ndarray:
+    """States of the linear curves with coefficients a by x = 1 / (ln2 a) per unit of beta.
+
+    Largest first, ties by descending index, and read-only: `_Phase`'s
+    table order.
+    """
+    order = np.argsort(np.divide(1.0, LN2 * a), kind="stable")[::-1]
+    order.flags.writeable = False
+    return order
+
+
+def _pnc_order(st) -> np.ndarray:
+    """`_linear_order` of the PNC curves of a `States`, built once and kept in it."""
+    if "pnc_order" not in st._derived:
+        st._derived["pnc_order"] = _linear_order(pnc_curve(st.g1r, st.g2r)[0])
+    return st._derived["pnc_order"]
+
+
 def _uplink(states: Sequence[ChannelState], modes) -> _Phase:
     """Uplink curves: PNC where `modes` says so (`_pnc_mask`), SPC-DNC elsewhere."""
-    st = as_states(states)
+    st, pnc = as_states(states), _pnc_mask(modes)
     dnc = dnc_curve(st.g_mr, st.g_Mr)
-    return _Phase(*(np.where(_pnc_mask(modes), p, d)
-                    for p, d in zip(pnc_curve(st.g1r, st.g2r), dnc)))
+    return _Phase(*(np.where(pnc, p, d) for p, d in zip(pnc_curve(st.g1r, st.g2r), dnc)),
+                  _pnc_order(st) if pnc.any() else np.empty(0, int))
 
 
 def _downlink(states: Sequence[ChannelState]) -> _Phase:
-    return _Phase(*broadcast_curve(as_states(states).g_rm))
+    """Broadcast curves, built once per `States` and kept in it."""
+    st = as_states(states)
+    if "downlink" not in st._derived:
+        a, o, b = broadcast_curve(st.g_rm)
+        st._derived["downlink"] = _Phase(a, o, b, _linear_order(a))
+    return st._derived["downlink"]
 
 
 def _quadratic_x(qa4, qb, beta: float):
@@ -544,7 +582,8 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
     within opts.rate_rtol, or where a step no longer moves beta. Returns
     beta with its probe's mean rate, slope, m and x (`_rate_sums`; 0, 0, 0,
     0 and None for target 0). Raises RuntimeError when beta would overflow
-    float64 or after opts.max_bisect_iter steps.
+    float64 or after opts.max_bisect_iter steps. The caller sets numpy's
+    error state: overflow, invalid and divide ignored.
     """
     if target <= 0.0:
         return 0.0, 0.0, 0.0, 0, None
@@ -552,32 +591,31 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
     beta = min(b0 * math.exp(min((target - t0) / s0, 709.0)), _MAX) or b0  # b0 on underflow
     lo, hi = 0.0, math.inf
     polish = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(opts.max_bisect_iter):
-            rate, slope, m, x = _rate_sums(ph, beta)
-            err = rate - target
-            close = abs(err) <= opts.rate_rtol * target
-            polish += close
-            if polish > 3 or abs(err) <= 1e-15 * target:
-                return beta, rate, slope, m, x
-            if err < 0.0:
-                lo = beta
+    for _ in range(opts.max_bisect_iter):
+        rate, slope, m, x = _rate_sums(ph, beta)
+        err = rate - target
+        close = abs(err) <= opts.rate_rtol * target
+        polish += close
+        if polish > 3 or abs(err) <= 1e-15 * target:
+            return beta, rate, slope, m, x
+        if err < 0.0:
+            lo = beta
+        else:
+            hi = beta
+        step = -err / slope if slope > 0.0 else math.copysign(math.inf, -err)
+        nxt = beta * math.exp(min(step, 709.0))
+        if not lo < nxt < hi:
+            if close:
+                return beta, rate, slope, m, x  # no Newton step left inside the bracket
+            if 0.0 < lo and hi < math.inf:
+                nxt = math.sqrt(lo) * math.sqrt(hi)
             else:
-                hi = beta
-            step = -err / slope if slope > 0.0 else math.copysign(math.inf, -err)
-            nxt = beta * math.exp(min(step, 709.0))
+                nxt = min(4.0 * beta if err < 0.0 else 0.25 * beta, _MAX)
             if not lo < nxt < hi:
-                if close:
-                    return beta, rate, slope, m, x  # no Newton step left inside the bracket
-                if 0.0 < lo and hi < math.inf:
-                    nxt = math.sqrt(lo) * math.sqrt(hi)
-                else:
-                    nxt = min(4.0 * beta if err < 0.0 else 0.25 * beta, _MAX)
-                if not lo < nxt < hi:
-                    # adjacent floats or the float64 limit: the rate jumps
-                    # across the target, as where 2^rate overflows to inf
-                    raise RuntimeError("rate target unreachable in float64")
-            beta = nxt
+                # adjacent floats or the float64 limit: the rate jumps
+                # across the target, as where 2^rate overflows to inf
+                raise RuntimeError("rate target unreachable in float64")
+        beta = nxt
     raise RuntimeError("multiplier search did not reach tolerance within the iteration cap")
 
 
@@ -588,11 +626,11 @@ def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, warm):
     mean envelope term is the mean power less beta times the mean rate.
     Raises RuntimeError where the sum of either over the states overflows
     float64, as `_powers` does, so that the per-state map can build the
-    probe returned.
+    probe returned. Runs under the caller's error state, as
+    `_solve_multiplier` does.
     """
     beta, rate, slope, m, x = _solve_multiplier(ph, target, opts, warm)
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = _mean_power(ph, beta, m, x)
+    power = _mean_power(ph, beta, m, x)
     env = power - beta * rate
     if not (math.isfinite(power) and math.isfinite(env * ph.n)):
         raise RuntimeError("transmit power overflows float64")
@@ -627,14 +665,15 @@ def _evaluate_split(up: _Phase, dn: _Phase, lam: float, f_u: float, opts: Solver
     """
     f_d = 1.0 - f_u
     t1, t2 = lam / f_u, lam / f_d
-    try:
-        beta1, s1, m_u, p_u, dup = _solve_phase(up, t1, opts, warm.get("up"))
-    except RuntimeError:
-        return -math.inf, math.nan, None
-    try:
-        beta2, s2, _, p_d, ddn = _solve_phase(dn, t2, opts, warm.get("dn"))
-    except RuntimeError:
-        return math.inf, math.nan, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            beta1, s1, m_u, p_u, dup = _solve_phase(up, t1, opts, warm.get("up"))
+        except RuntimeError:
+            return -math.inf, math.nan, None
+        try:
+            beta2, s2, _, p_d, ddn = _solve_phase(dn, t2, opts, warm.get("dn"))
+        except RuntimeError:
+            return math.inf, math.nan, None
     warm["up"], warm["dn"] = (t1, beta1, s1), (t2, beta2, s2)
     ev = _SplitEval(f_u=f_u, energy=f_u * p_u + f_d * p_d, beta1=beta1, beta2=beta2,
                     active_u=m_u, mean_dup=dup, mean_ddn=ddn)
@@ -766,14 +805,18 @@ def solve_beta1(states: Sequence[ChannelState], modes: Sequence[Mode],
     RuntimeError means the multiplier overflows float64.
     """
     _check_problem(states, modes, target_avg_rate)
-    return _solve_multiplier(_uplink(states, modes), target_avg_rate, opts or SolverOptions())[0]
+    ph = _uplink(states, modes)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _solve_multiplier(ph, target_avg_rate, opts or SolverOptions())[0]
 
 
 def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
                 opts: SolverOptions | None = None) -> float:
     """Downlink counterpart of solve_beta1 (strategy-independent)."""
     _check_problem(states, None, target_avg_rate)
-    return _solve_multiplier(_downlink(states), target_avg_rate, opts or SolverOptions())[0]
+    ph = _downlink(states)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _solve_multiplier(ph, target_avg_rate, opts or SolverOptions())[0]
 
 
 def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -881,11 +924,11 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
     energy = 0.0
     for ph, g in ((_uplink(st, modes), f), (_downlink(st), 1.0 - f)):
         betas, warm = [], None
-        for target in (target_rate / g).tolist():
-            beta, _, slope, _, _ = _solve_multiplier(ph, target, opts, warm)
-            warm = (target, beta, slope)
-            betas.append(beta)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for target in (target_rate / g).tolist():
+                beta, _, slope, _, _ = _solve_multiplier(ph, target, opts, warm)
+                warm = (target, beta, slope)
+                betas.append(beta)
             # `_rate_slope`'s per-state map, a row per grid point
             rates = np.log2(np.maximum(_stationary_x(ph, np.array(betas)[:, None]), 1.0))
         energy = energy + g * _powers(ph, rates)[0].mean(axis=1)

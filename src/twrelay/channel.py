@@ -9,7 +9,9 @@ A draw of n states is a `States`: four read-only float64 columns,
 validated once, that reads as a sequence of `ChannelState`s. Sampling,
 loading and saving work on the columns, and so does the solver
 (`as_states` turns any sequence of states into them), so no per-state
-object is built unless one is indexed.
+object is built unless one is indexed. A `States` also keeps what the
+solver derives from its gains, built on first use; the gains are
+read-only, so those values never go stale.
 """
 
 from __future__ import annotations
@@ -74,9 +76,13 @@ class States(Sequence[ChannelState]):
     compares equal to any sequence of equal states. Every gain must be
     positive and finite; the first state that breaks this is named in the
     ValueError.
+
+    `_derived` holds what `allocation` derives from the gains, filled on
+    first use and kept as long as the `States`; a slice or an index array
+    starts with it empty.
     """
 
-    __slots__ = ("_gains",)
+    __slots__ = ("_gains", "_derived")
 
     def __init__(self, g1r, g2r, gr1, gr2):
         gains = np.array([g1r, g2r, gr1, gr2], dtype=float)
@@ -85,6 +91,7 @@ class States(Sequence[ChannelState]):
         _check_gains(gains, "state {}".format)
         gains.flags.writeable = False
         self._gains = gains
+        self._derived = {}
 
     @classmethod
     def _wrap(cls, gains: np.ndarray) -> "States":
@@ -92,6 +99,7 @@ class States(Sequence[ChannelState]):
         gains.flags.writeable = False
         out = cls.__new__(cls)
         out._gains = gains
+        out._derived = {}
         return out
 
     g1r = property(lambda self: self._gains[0], doc="Source 1 to relay gains.")

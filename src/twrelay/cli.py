@@ -251,17 +251,24 @@ def _repr12(values: np.ndarray) -> list[str]:
     return texts
 
 
-def _per_state_json(per: StateAllocations) -> str:
-    """The per_state list as json.dumps(_round12(...), sort_keys=True, indent=2) nests it."""
+def _per_state_json(per: StateAllocations) -> list[str]:
+    """Pieces of the per_state list as json.dumps(_round12(...), sort_keys=True, indent=2) nests it.
+
+    Joined by the caller, once with the rest of the document: joining here
+    too would hold a third copy of the text at the writer's peak.
+    """
     cols = (per.power_d, per.power_u, per.rate_d, per.rate_u)
-    blocks = []
+    pieces = ["[\n"]
     for start in range(0, len(per), _BLOCK):
         part = slice(start, start + _BLOCK)
         modes = np.where(per.pnc[part], Mode.PNC.value, Mode.SPCDNC.value).tolist()
         texts = iter(_repr12(np.column_stack([c[part] for c in cols]).ravel()))
         items = zip(modes, texts, texts, texts, texts)
-        blocks.append(",\n".join([_STATE_JSON] * len(modes)) % tuple(chain.from_iterable(items)))
-    return "[\n" + ",\n".join(blocks) + "\n  ]"
+        if start:
+            pieces.append(",\n")
+        pieces.append(",\n".join([_STATE_JSON] * len(modes)) % tuple(chain.from_iterable(items)))
+    pieces.append("\n  ]")
+    return pieces
 
 
 def run_solve(config: ExperimentConfig, states: Sequence[ChannelState]) -> str:
@@ -294,7 +301,7 @@ def run_solve(config: ExperimentConfig, states: Sequence[ChannelState]) -> str:
     }
     # per_state is the document's only null; its list goes in that place
     head, tail = json.dumps(_round12(doc), sort_keys=True, indent=2).split("null", 1)
-    return "".join((head, _per_state_json(alloc.per_state), tail, "\n"))
+    return "".join([head, *_per_state_json(alloc.per_state), tail, "\n"])
 
 
 @dataclass(frozen=True)

@@ -609,12 +609,70 @@ def test_split_search_work_on_the_default_sweep(monkeypatch):
 
     for name in counts:
         counted(name)
+    phases, sorts = [], []
+    init, argsort = allocation._Phase.__init__, np.argsort
+    monkeypatch.setattr(allocation._Phase, "__init__",
+                        lambda self, *args: phases.append(self) or init(self, *args))
+    monkeypatch.setattr(np, "argsort", lambda *args, **kw: sorts.append(args) or argsort(*args, **kw))
     run_sweep(ExperimentConfig())
     assert counts["_search_split"] == 154
     assert counts["_evaluate_split"] <= 600
     assert counts["_rate_sums"] <= 2100
     assert counts["_rate_slope"] == counts["_powers"] == 2 * counts["_optimize_split"] == 94
     assert counts["_stationary_x"] == counts["_rate_slope"]
+    # each fixed-mode solve builds its uplink phase, while the draw keeps
+    # one downlink phase (the only linear curves with o = 1) and sorts
+    # twice, for it and for the PNC order; a build per solve made 94
+    # phases, 47 of them downlinks, and 94 sorts
+    downlinks = [ph for ph in phases if ph.all_linear and (ph.o == 1.0).all()]
+    assert len(phases) == counts["_optimize_split"] + 1 == 48
+    assert len(downlinks) == 1
+    assert len(sorts) == 2
+
+
+def test_a_draw_that_served_a_sweep_solves_as_fresh_columns(monkeypatch):
+    # a `States` keeps its downlink phase and PNC order: after a whole
+    # default sweep on it every solve must equal, field for field, the same
+    # call on fresh columns, and a slice or an index array, which must
+    # start empty, the same on its own fresh copy
+    st = sample_states(1000, 7)
+    monkeypatch.setattr(ExperimentConfig, "resolve_states", lambda self: st)
+    run_sweep(ExperimentConfig())
+    assert set(st._derived) == {"downlink", "pnc_order"}
+    rng = np.random.default_rng(24)
+    mixed, idx = rng.random(1000) < 0.5, rng.permutation(1000)[:300]
+
+    def solves(s, pnc):
+        alloc = solve_fixed_modes(s, pnc, 1.0)
+        return [solve_baseline(s, 1.0, Mode.PNC), solve_baseline(s, 1.0, Mode.SPCDNC), alloc,
+                kkt_residuals(alloc, s),
+                scan_split_energies(s, pnc, 1.0, np.linspace(0.2, 0.8, 7)).tolist()]
+
+    for s, pnc in ((st, mixed), (st[:400], mixed[:400]), (st[idx], mixed[idx])):
+        assert solves(s, pnc) == solves(States(s.g1r, s.g2r, s.gr1, s.gr2), pnc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+def test_phase_tables_are_the_sort_of_their_linear_states(n):
+    # every table picks its linear states out of an order built once per
+    # draw; it must be their own stable sort, ties in qb (repeated states)
+    # by descending index, and what the draw keeps must be read-only
+    rng = np.random.default_rng(n + 24)
+    st = sample_states(n, n)
+    pick = np.where(rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, n))  # repeats
+    st = States(st.g1r[pick], st.g2r[pick], st.gr1[pick], st.gr2[pick])
+    dn = _downlink(st)
+    masks = (np.ones(n, bool), np.zeros(n, bool), rng.random(n) < 0.5)
+    for ph in (dn, *(_uplink(st, pnc) for pnc in masks)):
+        lin = np.flatnonzero(ph.linear)
+        assert np.array_equal(ph.table, lin[np.argsort(ph.inv_qb[lin], kind="stable")[::-1]])
+        if n == 1000 and lin.size:
+            assert np.unique(ph.inv_qb[lin]).size < lin.size  # the ties are there
+    assert _downlink(st) is dn
+    for v in (st._derived["pnc_order"], dn.a, dn.o, dn.b, dn.qb, dn.inv_qb, dn.linear,
+              dn.table, dn.neg_inv, dn.log_sum, dn.ao_sum):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = v[-1]
 
 
 @pytest.mark.parametrize("seed", [5, 7, 11])

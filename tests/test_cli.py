@@ -445,7 +445,7 @@ def test_per_state_writer_matches_json_dumps_at_edge_values(n):
              for m, ru, rd, pu, pd in zip(pnc.tolist(), up.tolist(), down.tolist(),
                                           up.tolist(), down.tolist())]
     want = json.dumps(_round12({"per_state": items}), sort_keys=True, indent=2)
-    _assert_same_text('{\n  "per_state": ' + _per_state_json(per) + "\n}", want)
+    _assert_same_text('{\n  "per_state": ' + "".join(_per_state_json(per)) + "\n}", want)
 
 
 def test_solve_builds_no_per_state_objects(tmp_path, monkeypatch):
