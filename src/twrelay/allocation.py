@@ -353,7 +353,8 @@ class _Phase:
     quadratic states, or None when there are none.
 
     `order` lists every state with its linear ones in table order
-    (`_linear_order`), so `table` picks them out without a sort. Inputs are
+    (`_linear_order`), so `table` picks them out without a sort, and is
+    `order` itself when every curve is linear. Inputs are
     treated as immutable, and the arrays are read-only, since a `States`
     keeps its downlink phase for every later solve (`_downlink`).
     """
@@ -385,7 +386,7 @@ class _Phase:
                     np.compress(quad, v, out=row)
                 block.flags.writeable = False
                 self.quad = tuple(block)
-        self.table = order[self.linear[order]]
+        self.table = order if self.all_linear else order[self.linear[order]]
         self.cap = m = self.table.size
         self.neg_inv = self.inv_qb[self.table]
         np.negative(self.neg_inv, out=self.neg_inv)

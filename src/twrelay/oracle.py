@@ -1,11 +1,12 @@
 """Brute-force ground truth and property validators.
 
 Nothing in here trusts the dual solver: the grid search enumerates rate
-profiles and time splits directly from the power formulas, including
+profiles and time splits from its own copy of the power formulas, including
 splits that leave part of the frame idle, so it independently confirms
 both the allocation energies and the full-frame design decision on small
-instances. The convexity probe checks midpoint convexity of arbitrary
-(T, f) energy surfaces by seeded sampling.
+instances. It prices a block of time fractions against every shape at
+once (`_phase_minima`). The convexity probe checks midpoint convexity of
+arbitrary (T, f) energy surfaces by seeded sampling.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .channel import ChannelState
 from .ratepower import Mode
 
 _MAX_ORACLE_STATES = 4
+_BLOCK = 1 << 15  # elements of one (fractions x shapes) block of `_phase_minima`
 
 
 @dataclass(frozen=True)
@@ -119,32 +121,13 @@ def _unique_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _power_curves(states: Sequence[ChannelState], modes: Sequence[Mode]) -> tuple[list, list]:
-    """Each state's uplink and downlink power as a function of x = 2^rate."""
-    up, dn = [], []
-    for state, mode in zip(states, modes):
-        if mode is Mode.PNC:
-            up.append(lambda x, k=1.0 / state.g1r + 1.0 / state.g2r: (x - 0.5) * k)
-        else:
-            up.append(lambda x, a=state.g_mr, b=state.g_Mr: (x - 1.0) / a + x * (x - 1.0) / b)
-        dn.append(lambda x, g=state.g_rm: (x - 1.0) / g)
-    return up, dn
-
-
-def _mean_power(cols: list, active: list, scale: float, curves: list) -> np.ndarray:
-    """Mean power over the states of every shape row at rates shape·scale.
-
-    cols[j] is state j's shape column and active[j] its `> 0` mask, which
-    is the mask of its rates wherever scale·5e-13 does not underflow (every
-    target above 1e-310); a state at rate 0 is silent and costs nothing.
-    The masked power columns are added in state order and divided by n,
-    which gives mean(axis=1) of the (shapes × n) power matrix bit for bit.
+    """Each state's uplink and downlink power curve in x = 2^rate, as coefficients:
+    ("pnc", k) is (x - 1/2)·k with k = 1/g1r + 1/g2r, ("dnc", a, b) is
+    (x - 1)/a + x(x - 1)/b with a = g_mr and b = g_Mr, ("dn", g) is (x - 1)/g.
     """
-    total = None
-    with np.errstate(over="ignore"):
-        for col, on, curve in zip(cols, active, curves):
-            p = np.where(on, curve(np.exp2(col * scale)), 0.0)
-            total = p if total is None else total + p
-    return total / len(cols)
+    up = [("pnc", 1.0 / s.g1r + 1.0 / s.g2r) if mode is Mode.PNC else ("dnc", s.g_mr, s.g_Mr)
+          for s, mode in zip(states, modes)]
+    return up, [("dn", s.g_rm) for s in states]
 
 
 def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -177,21 +160,12 @@ def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode
     up_store, up_power, up_arg = _refined_phase(shapes0, f_vals, target_rate, up_curves, grid)
     dn_store, dn_power, dn_arg = _refined_phase(shapes0, f_vals, target_rate, dn_curves, grid)
 
-    m_f = f_vals.shape[0]
-    best = (math.inf, -1, -1)
-    for i in range(m_f):
-        eu = f_vals[i] * up_power[i]
-        if not math.isfinite(eu):
-            continue
-        for j in range(m_f):
-            if f_vals[i] + f_vals[j] > 1.0 + 1e-12:
-                break
-            total = eu + f_vals[j] * dn_power[j]
-            if total < best[0]:
-                best = (total, i, j)
-    if not math.isfinite(best[0]):
+    total = (f_vals * up_power)[:, None] + f_vals * dn_power  # inf, NaN, f_u + f_d > 1 lose
+    total[~(total < math.inf) | (f_vals[:, None] + f_vals[None, :] > 1.0 + 1e-12)] = math.inf
+    i, j = np.unravel_index(int(np.argmin(total)), total.shape)
+    energy = total[i, j]
+    if not math.isfinite(energy):
         raise ValueError("no feasible grid point; grid cannot carry the rate target")
-    energy, i, j = best
     rates_u = up_store[up_arg[i]] * (target_rate / f_vals[i])
     rates_d = dn_store[dn_arg[j]] * (target_rate / f_vals[j])
     return OracleResult(
@@ -206,15 +180,43 @@ def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode
 
 def _phase_minima(shape_mat: np.ndarray, f_vals: np.ndarray, target: float,
                   curves: list) -> tuple[np.ndarray, np.ndarray]:
-    m_f = f_vals.shape[0]
-    power = np.empty(m_f)
-    arg = np.empty(m_f, dtype=int)
+    """Per fraction f, the least mean power of a shape row at rates shape·target/f, and the row.
+
+    A block of fractions, a (fractions × shapes) array of about _BLOCK
+    elements, is priced at once in preallocated buffers: each state's power
+    is added in state order and the sum divided by n, mean(axis=1) of the
+    (shapes × n) power matrix bit for bit. A silent state (shape value 0)
+    needs no mask: x = 2^(0·s) = 1 exactly, so (x - 1)/a + x(x - 1)/b and
+    (x - 1)/g are +0.0, and a PNC curve shifts x by 1, not 1/2, there, so
+    (1 - 1)·k = +0.0. argmin(axis=1) takes each row's first minimum.
+    """
+    m, n = shape_mat.shape
     cols = [np.ascontiguousarray(col) for col in shape_mat.T]
-    active = [col > 0.0 for col in cols]
-    for i, f in enumerate(f_vals):
-        p = _mean_power(cols, active, target / f, curves)
-        j = int(np.argmin(p))
-        power[i], arg[i] = p[j], j
+    shifts = [np.where(col > 0.0, 0.5, 1.0) if kind == "pnc" else 1.0
+              for col, (kind, *_) in zip(cols, curves)]
+    rows = min(max(1, _BLOCK // m), f_vals.shape[0])
+    total, x, t = (np.empty((rows, m)) for _ in range(3))
+    power, arg = np.empty(f_vals.shape[0]), np.empty(f_vals.shape[0], dtype=int)
+    with np.errstate(over="ignore"):
+        for lo in range(0, f_vals.shape[0], rows):
+            scales = target / f_vals[lo:lo + rows, None]
+            tot, xb, tb = (buf[:scales.shape[0]] for buf in (total, x, t))
+            for j, (col, shift, (kind, *c)) in enumerate(zip(cols, shifts, curves)):
+                p = tb if j else tot
+                np.exp2(np.multiply(scales, col, out=p), out=xb)
+                np.subtract(xb, shift, out=p)
+                if kind == "pnc":
+                    p *= c[0]
+                elif kind == "dnc":  # t/a + (x·t)/b, with t = x - 1
+                    np.divide(np.multiply(xb, p, out=xb), c[1], out=xb)
+                    np.add(np.divide(p, c[0], out=p), xb, out=p)
+                else:
+                    p /= c[0]
+                if j:
+                    tot += p
+            tot /= n
+            arg[lo:lo + rows] = tot.argmin(axis=1)
+            power[lo:lo + rows] = tot[np.arange(tot.shape[0]), arg[lo:lo + rows]]
     return power, arg
 
 
@@ -230,8 +232,7 @@ def _refined_phase(shapes0: np.ndarray, f_vals: np.ndarray, target: float,
     touching the solver. Returns (shape store, per-f power minima, per-f
     argmin indices into the store).
     """
-    n = shapes0.shape[1]
-    store = shapes0
+    n, store = shapes0.shape[1], shapes0
     power, arg = _phase_minima(shapes0, f_vals, target, curves)
     offsets = np.stack([g.ravel() for g in np.meshgrid(
         *([np.arange(-grid.refine_span, grid.refine_span + 1)] * n),
@@ -247,8 +248,7 @@ def _refined_phase(shapes0: np.ndarray, f_vals: np.ndarray, target: float,
         cand = _unique_rows(np.round(cand, 12))
         p_new, a_new = _phase_minima(cand, f_vals, target, curves)
         better = p_new < power
-        power = np.where(better, p_new, power)
-        arg = np.where(better, a_new + store.shape[0], arg)
+        power[better], arg[better] = p_new[better], a_new[better] + store.shape[0]
         store = np.concatenate([store, cand], axis=0)
         step *= grid.refine_shrink
     return store, power, arg

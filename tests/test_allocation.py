@@ -515,7 +515,6 @@ def test_zero_target_residuals_report_everything_clamped():
 
 # ------------------------------------------------------------ split search
 
-@pytest.mark.slow
 def test_golden_section_matches_dense_scan():
     # the split search must land within one grid cell of a 10^4-point
     # scan argmin; the scan shares `_solve_multiplier` with the search, so
@@ -669,6 +668,11 @@ def test_phase_tables_are_the_sort_of_their_linear_states(n):
         if n == 1000 and lin.size:
             assert np.unique(ph.inv_qb[lin]).size < lin.size  # the ties are there
     assert _downlink(st) is dn
+    # an all-linear phase's table is its order itself, not a copy of it
+    assert np.shares_memory(_uplink(st, masks[0]).table, st._derived["pnc_order"])
+    curve = allocation.broadcast_curve(st.g_rm)
+    order = allocation._linear_order(curve[0])
+    assert np.shares_memory(allocation._Phase(*curve, order).table, order)
     for v in (st._derived["pnc_order"], dn.a, dn.o, dn.b, dn.qb, dn.inv_qb, dn.linear,
               dn.table, dn.neg_inv, dn.log_sum, dn.ao_sum):
         with pytest.raises(ValueError, match="read-only"):

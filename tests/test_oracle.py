@@ -16,8 +16,9 @@ from twrelay import (
     sample_states,
     solve_fixed_modes,
 )
+from twrelay import oracle
 from twrelay.cli import _mode_vectors
-from twrelay.oracle import _unique_rows
+from twrelay.oracle import _phase_minima, _power_curves, _unique_rows
 
 UNIT = ChannelState(1.0, 1.0, 1.0, 1.0)
 
@@ -116,21 +117,89 @@ def test_oracle_is_deterministic():
     assert a.f_u == b.f_u
 
 
-# energy, f_u and f_d of battery instances, (seed, n, target, modes);
-# exact, so that any change to the oracle that moves a result shows
+# whole results of battery instances, (seed, n, target, modes) ->
+# (energy, f_u, f_d, rates_u, rates_d), or the error of a target beyond
+# what the grid carries; exact, so that any change to the oracle that
+# moves a result, or its argmin to a tied row, shows
 ORACLE_PINS = [
-    ((1104, 4, 0.25, "pnc"), (1.2580991053602673, 0.52, 0.48)),
-    ((1103, 3, 1.0, "pnc"), (13.159079445198941, 0.55, 0.45)),
-    ((1107, 3, 0.25, "dnc"), (0.588746496424604, 0.63, 0.37)),
-    ((1107, 3, 0.25, "mixed"), (0.6661870324465131, 0.71, 0.29)),
+    ((1104, 4, 0.25, "pnc"), (1.2580991053602673, 0.52, 0.48,
+                              (0.0, 0.0, 0.0, 1.923076923076923),
+                              (0.0, 0.0, 0.15193194646875, 1.9314013868645834))),
+    ((1103, 3, 1.0, "pnc"), (13.159079445198941, 0.55, 0.45,
+                             (0.0, 1.741048225561818, 3.713497228983636),
+                             (1.0180012414644446, 1.7077039795844444, 3.9409614456155557))),
+    ((1107, 3, 0.25, "dnc"), (0.588746496424604, 0.63, 0.37,
+                              (0.0, 0.790794368354365, 0.3996818221218254),
+                              (0.0, 1.5161009925405404, 0.5109260344864864))),
+    ((1107, 3, 0.25, "mixed"), (0.6661870324465131, 0.71, 0.29,
+                                (0.0, 1.0563380281690142, 0.0),
+                                (0.0, 1.7956332838370692, 0.7905736127146552))),
+    ((4, 3, 2000.0, "dnc"), "no feasible grid point"),
 ]
 
 
 @pytest.mark.parametrize("instance,pinned", ORACLE_PINS)
 def test_oracle_results_are_pinned_exactly(instance, pinned):
     seed, n, lam, label = instance
-    res = brute_force_fixed_modes(sample_states(n, seed), _mode_vectors(n)[label], lam)
-    assert (res.energy, res.f_u, res.f_d) == pinned
+    states, modes = sample_states(n, seed), _mode_vectors(n)[label]
+    if isinstance(pinned, str):
+        with pytest.raises(ValueError, match=pinned):
+            brute_force_fixed_modes(states, modes, lam)
+        return
+    res = brute_force_fixed_modes(states, modes, lam)
+    assert (res.energy, res.f_u, res.f_d, res.rates_u, res.rates_d) == pinned
+
+
+def _masked_phase_minima(shape_mat, f_vals, target, curves):
+    # the per-fraction reference: one pass per f, the power curves as
+    # functions of x = 2^rate, silent states masked out with np.where
+    cols = [np.ascontiguousarray(col) for col in shape_mat.T]
+    power, arg = np.empty(f_vals.shape[0]), np.empty(f_vals.shape[0], dtype=int)
+    with np.errstate(over="ignore"):
+        for i, f in enumerate(f_vals):
+            scale = target / f
+            total = None
+            for col, curve in zip(cols, curves):
+                p = np.where(col > 0.0, curve(np.exp2(col * scale)), 0.0)
+                total = p if total is None else total + p
+            total = total / len(cols)
+            j = int(np.argmin(total))
+            power[i], arg[i] = total[j], j
+    return power, arg
+
+
+def _curve_functions(states, modes):
+    up = [(lambda x, k=1.0 / s.g1r + 1.0 / s.g2r: (x - 0.5) * k) if mode is Mode.PNC
+          else (lambda x, a=s.g_mr, b=s.g_Mr: (x - 1.0) / a + x * (x - 1.0) / b)
+          for s, mode in zip(states, modes)]
+    return up, [lambda x, g=s.g_rm: (x - 1.0) / g for s in states]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("block", [None, 700])
+def test_phase_minima_match_the_masked_formulas(n, block, monkeypatch):
+    # a small block makes many blocks, a partial last one and, for the
+    # 1500-row matrix, blocks of one fraction
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+    rng = np.random.default_rng(500 + n)
+    f_vals = GridSpec().f_values()
+    for rows in (1, 37, 1500):
+        shapes = np.round(rng.exponential(1.0, size=(rows, n)), 12)
+        shapes[rng.random((rows, n)) < 0.3] = 0.0  # silent entries
+        shapes[:, rng.integers(n)] *= rng.random() < 0.3  # at times a silent state
+        shapes = np.concatenate([shapes, shapes[: rows // 3]])  # tied rows
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        states = [ChannelState(*(scale * rng.exponential(1.0, 4))) for _ in range(n)]
+        for modes in (_mode_vectors(n)["pnc"], _mode_vectors(n)["dnc"], _mode_vectors(n)["mixed"]):
+            coefficients = _power_curves(states, modes)
+            functions = _curve_functions(states, modes)
+            for target in (1e-12, 1e-3, 0.5, 8.0, 300.0, 2000.0):  # 2000: 2^x overflows
+                for got, want in zip(coefficients, functions):
+                    power, arg = _phase_minima(shapes, f_vals, target, got)
+                    ref_power, ref_arg = _masked_phase_minima(shapes, f_vals, target, want)
+                    assert np.array_equal(power, ref_power), (rows, modes, target)
+                    assert np.array_equal(arg, ref_arg), (rows, modes, target)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
