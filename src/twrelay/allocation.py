@@ -8,61 +8,17 @@ per channel use subject to
     f_u * mean(rate_u) >= target,   f_d * mean(rate_d) >= target,
     f_u + f_d <= 1.
 
-Substituting the per-phase throughputs T = f * rate turns each phase's
-energy into the perspective f * P(T/f) of a convex power curve, so the
-fixed-split problem is convex and separable across states: every state's
-rate is the stationary point of its power curve at a common multiplier,
-clamped at zero, and the multiplier is found by safeguarded Newton steps
-in its logarithm on the average rate (`_solve_multiplier`), the one solver
-of split probes, silent prefixes and scan points, each warm-started at the
-Newton step from the last solve on its phase. The scalar time split is the
-sign change of the reduced derivative, which the envelope theorem gives
-exactly from the per-state terms, and so is its slope (`_evaluate_split`);
-bracketed Newton steps find it (`_search_split`).
+With x = 2^rate every state's power is a (x - o) + b x (x - 1), with the
+coefficients from `ratepower`. At a fixed split the problem is convex and
+separable across states: every rate is the stationary point of its power
+curve at a common multiplier, clamped at zero. The docstrings below hold
+the method:
 
-Both phases run through one water-filling core. With x = 2^rate every
-state's power is a (x - o) + b x (x - 1), with the coefficients from
-`ratepower`: linear for the broadcast and PNC, quadratic for SPC-DNC. A
-`_Phase` holds them per state. A split probe needs four numbers of each
-phase: the mean rate, its slope in ln(beta), the mean power and the mean
-envelope term, which at a stationary point is the mean power less beta
-times the mean rate. A linear curve is active where beta > qb, at rate
-log2(beta / qb) and power beta / ln2 - a o, so each phase keeps its linear
-states sorted by qb with prefix sums of log2 qb (taken from the first) and
-of a o, and a probe sums the m active ones from those in O(log n); the
-quadratic curves take one pass over their own states (`_rate_sums`,
-`_mean_power`). This is the sorted-breakpoint water-filling of Palomar and
-Fonollosa, "Practical algorithms for a family of waterfilling solutions",
-IEEE Trans. Signal Processing 53(2), 2005. The per-state map, `_rate_slope`
-and `_powers`, builds the rates and powers of the one probe a fixed-mode
-solve returns, and serves `kkt_residuals`, the single-state rate maps and
-`scan_split_energies`, so the certificate does not share the probe's
-shortcut.
-
-One wrinkle is handled beyond the plain water-filling map: a silent state
-consumes no power, but the PNC power curve does not vanish at zero rate
-(the 1/2 SNR offset), so states whose stationary point sits barely above
-the clamp can be cheaper to leave silent with their rate carried by the
-others. All states carry equal weight and a PNC state at rate r costs
-(2^r - 1/2) c, with c = 1/g1r + 1/g2r, so moving a silent state's rate onto
-an active PNC state with a smaller c never costs more. The silent sets
-worth trying are therefore the prefixes of the PNC states sorted by c,
-largest first, and that order does not depend on the multiplier. The
-silent prefix is chosen outside the split search, which is convex once the
-prefix is fixed (`_optimize_split`). A prefix is applied as a phase of its
-own, `_Phase.silenced`. The states silenced first have the largest qb, so
-the prefix is the tail of the sorted table and a cap on m; and PNC curves
-are linear, so zeroing their stationary x per unit of beta holds them at
-rate 0 in the per-state map for every multiplier.
-
-The solvers take any sequence of `ChannelState`s and work on its columns
-(`channel.as_states`, free for a `States`), and an `Allocation` keeps its
-per-state schedule as columns too (`StateAllocations`), so a solve builds
-no per-state object; a `StateAllocation` is made only when one is indexed.
-What depends on the gains alone is built once per `States` and kept in it:
-the downlink `_Phase`, and the order of every state by the PNC curve's x
-per unit of beta, from which each uplink `_Phase` takes its table without a
-sort (`_downlink`, `_pnc_order`).
+- `_Phase`: one phase's curves, and the sorted table of its linear states;
+- `_solve_multiplier`: the multiplier that meets a phase's rate target;
+- `_search_split`: the time split for a fixed set of silent states;
+- `_optimize_split`: which PNC states to hold silent;
+- `_rates` and `_powers`: the per-state map of the schedule returned.
 
 Everything here is deterministic: fixed-order numpy reductions, fixed
 iteration schedules, no RNG. All inputs are treated as immutable, apart
@@ -84,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelState, as_states
-from .ratepower import Mode, broadcast_curve, curve_power, dnc_curve, pnc_curve
+from .ratepower import Mode, broadcast_curve, curve_power, dnc_curve, is_pnc, pnc_curve
 
 LN2 = math.log(2.0)
 _MAX = sys.float_info.max
@@ -281,8 +237,8 @@ class SolverOptions:
         one last Newton step ends the search.
     f_lo, f_hi: search interval for the uplink fraction.
     max_bisect_iter: step cap of one multiplier solve (exceeded means error).
-    refine_uplink: search the silent prefixes of the PNC states (see module
-        docstring); disable to get the plain water-filling map only.
+    refine_uplink: search the silent prefixes of the PNC states (see
+        `_optimize_split`); disable to get the plain water-filling map only.
     """
 
     rate_rtol: float = 1e-9
@@ -334,7 +290,7 @@ def _single_rate(phase: _Phase, beta: float) -> float:
     if beta == 0.0:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_rate_slope(phase, beta)[2][0])
+        return float(_rates(phase, beta)[0])
 
 
 class _Phase:
@@ -359,7 +315,7 @@ class _Phase:
     keeps its downlink phase for every later solve (`_downlink`).
     """
 
-    __slots__ = ("n", "a", "o", "b", "qa", "qa4", "qb", "inv_qb", "linear",
+    __slots__ = ("n", "a", "o", "b", "qa4", "qb", "inv_qb", "linear",
                  "all_linear", "any_linear", "table", "neg_inv", "log_sum", "ao_sum",
                  "cap", "quad")
 
@@ -372,11 +328,11 @@ class _Phase:
         self.any_linear = bool(self.linear.any())
         # stationary x per unit of beta on the linear curves
         self.inv_qb = np.divide(1.0, self.qb, out=np.zeros(self.n), where=self.linear)
-        self.qa = self.qa4 = self.quad = None
+        self.qa4 = self.quad = None
         if not self.all_linear:
-            self.qa = 2.0 * LN2 * self.b
-            self.qa4 = 4.0 * self.qa
-            self.quad = (self.qa, self.qa4, self.qb, self.a, self.o, self.b)
+            qa = 2.0 * LN2 * self.b
+            self.qa4 = 4.0 * qa
+            self.quad = (qa, self.qa4, self.qb, self.a, self.o, self.b)
             if self.any_linear:
                 # the quadratic states' rows of one block: separate copies
                 # fragment the heap enough to raise a 50k solve's peak memory
@@ -418,16 +374,12 @@ class _Phase:
 def _pnc_mask(modes) -> np.ndarray:
     """Where `modes` is PNC; a boolean array is taken as that mask already.
 
-    Otherwise every entry must be a `Mode`: an array of modes is read entry
-    by entry, not as a mask, and a string such as "pnc" is refused, not
-    read as SPC-DNC.
+    Otherwise every entry must be a `Mode` (`is_pnc`): an array of modes is
+    read entry by entry, not as a mask.
     """
     if isinstance(modes, np.ndarray) and modes.dtype == bool:
         return modes
-    for m in modes:
-        if not isinstance(m, Mode):
-            raise ValueError(f"modes must be Mode members or a boolean mask, got {m!r}")
-    return np.array([m is Mode.PNC for m in modes], dtype=bool)
+    return np.array([is_pnc(m) for m in modes], dtype=bool)
 
 
 def _linear_order(a) -> np.ndarray:
@@ -485,20 +437,13 @@ def _stationary_x(ph: _Phase, beta):
     return x
 
 
-def _rate_slope(ph: _Phase, beta: float):
-    """Mean clamped stationary rate, its derivative in ln(beta), and the rates.
+def _rates(ph: _Phase, beta):
+    """Clamped stationary rates at beta > 0: a scalar, or a column (a row each).
 
-    Per active state the derivative is (qa x + qb) / ((2 qa x + qb) ln2),
-    which is 1/ln2 on a linear curve.
+    The per-state map of the schedule returned, which `kkt_residuals` checks
+    apart from the table's sums that the split probes take (`_rate_sums`).
     """
-    x = np.maximum(_stationary_x(ph, beta), 1.0)
-    r = np.log2(x)
-    if ph.all_linear:
-        slope = int(np.count_nonzero(r)) / LN2  # a float, so d' overflows to inf quietly
-    else:
-        qx = ph.qa * x
-        slope = float(((qx + ph.qb) / ((2.0 * qx + ph.qb) * LN2)).sum(where=r > 0.0))
-    return float(r.sum()) / ph.n, slope / ph.n, r
+    return np.log2(np.maximum(_stationary_x(ph, beta), 1.0))
 
 
 def _powers(ph: _Phase, rates):
@@ -535,10 +480,12 @@ def _active(ph: _Phase, beta: float) -> int:
 
 
 def _rate_sums(ph: _Phase, beta: float):
-    """`_rate_slope`'s mean rate and slope at beta > 0, from the table's sums.
+    """Mean of `_rates` at beta > 0 and its slope in ln(beta), from the table's sums.
 
-    The m active linear states add m log2(beta inv0) - log_sum[m] to the
-    rate sum, where inv0 leads the table, and m / ln2 to the slope; the
+    The sorted-breakpoint water-filling of Palomar and Fonollosa (IEEE TSP
+    53(2), 2005): the m active linear states add m log2(beta inv0) -
+    log_sum[m] to the rate sum, inv0 leading the table, and m / ln2 to the
+    slope, which is (qa x + qb) / ((2 qa x + qb) ln2) per active state; the
     quadratic states take one pass. Returns (mean rate, slope, m, clamped x
     of the quadratic states or None), the last two for `_mean_power`.
     """
@@ -641,7 +588,7 @@ def _solve_phase(ph: _Phase, target: float, opts: SolverOptions, warm):
 def _per_state(ph: _Phase, beta: float):
     """Rates, powers and mean envelope term of the per-state map at beta."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rates = _rate_slope(ph, beta)[2]
+        rates = _rates(ph, beta)
     p, _, env = _powers(ph, rates)
     return rates, p, float(env)
 
@@ -740,9 +687,13 @@ def _search_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions,
 def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions):
     """Cheapest split over the silent prefixes of the PNC states, with its uplink phase.
 
-    Prefix k silences the k PNC states with the largest inverse-gain sum
-    (module docstring), the tail of the uplink's table. Each prefix gets its
-    own split search, cached by k.
+    A PNC state's power (2^r - 1/2) c, c = 1/g1r + 1/g2r, does not vanish at
+    rate 0, so a state barely above its clamp can be cheaper silent, its
+    rate carried by the others; moving it onto an active PNC state with a
+    smaller c never costs more. So the silent sets worth trying are the
+    prefixes of the PNC states by c, largest first, an order free of the
+    multiplier: the tail of the uplink's table. Each prefix gets its own
+    split search, convex once the prefix is fixed, cached by k.
     Starting from the plain map (k = 0), k is set to the number of PNC
     states whose stationary point lies below x* at the current beta1 until
     a k repeats. Then, from the best prefix and while the energy falls, k
@@ -805,19 +756,21 @@ def solve_beta1(states: Sequence[ChannelState], modes: Sequence[Mode],
     relative error of 1e-15 (`_solve_multiplier`). Target 0 returns 0;
     RuntimeError means the multiplier overflows float64.
     """
-    _check_problem(states, modes, target_avg_rate)
-    ph = _uplink(states, modes)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _solve_multiplier(ph, target_avg_rate, opts or SolverOptions())[0]
+    return _solve_beta(states, modes, target_avg_rate, opts)
 
 
 def solve_beta2(states: Sequence[ChannelState], target_avg_rate: float,
                 opts: SolverOptions | None = None) -> float:
     """Downlink counterpart of solve_beta1 (strategy-independent)."""
-    _check_problem(states, None, target_avg_rate)
-    ph = _downlink(states)
+    return _solve_beta(states, None, target_avg_rate, opts)
+
+
+def _solve_beta(states, modes, target: float, opts: SolverOptions | None) -> float:
+    """Multiplier of the uplink under `modes`, or of the downlink where modes is None."""
+    _check_problem(states, modes, target)
+    ph = _downlink(states) if modes is None else _uplink(states, modes)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _solve_multiplier(ph, target_avg_rate, opts or SolverOptions())[0]
+        return _solve_multiplier(ph, target, opts or SolverOptions())[0]
 
 
 def solve_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode],
@@ -918,7 +871,7 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
     opts = opts or SolverOptions()
     st = as_states(states)
     f = np.asarray(f_values, dtype=float)
-    if np.any((f <= 0.0) | (f >= 1.0)):
+    if not np.all((f > 0.0) & (f < 1.0)):  # NaN too
         raise ValueError("grid fractions must lie strictly inside (0, 1)")
     if target_rate == 0.0:
         return np.zeros_like(f)
@@ -930,8 +883,7 @@ def scan_split_energies(states: Sequence[ChannelState], modes: Sequence[Mode],
                 beta, _, slope, _, _ = _solve_multiplier(ph, target, opts, warm)
                 warm = (target, beta, slope)
                 betas.append(beta)
-            # `_rate_slope`'s per-state map, a row per grid point
-            rates = np.log2(np.maximum(_stationary_x(ph, np.array(betas)[:, None]), 1.0))
+            rates = _rates(ph, np.array(betas)[:, None])
         energy = energy + g * _powers(ph, rates)[0].mean(axis=1)
     return energy
 
@@ -943,7 +895,7 @@ def perspective_energy(state: ChannelState, mode: Mode):
     curve. The zero-rate shortcut (silent means free) is deliberately not
     applied here; convexity probes exercise the smooth expression itself.
     """
-    if mode is Mode.PNC:
+    if is_pnc(mode):
         return _perspective(pnc_curve(state.g1r, state.g2r))
     return _perspective(dnc_curve(state.g_mr, state.g_Mr))
 

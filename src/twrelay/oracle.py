@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import ChannelState
-from .ratepower import Mode
+from .ratepower import Mode, is_pnc
 
 _MAX_ORACLE_STATES = 4
 _BLOCK = 1 << 15  # elements of one (fractions x shapes) block of `_phase_minima`
@@ -125,7 +125,7 @@ def _power_curves(states: Sequence[ChannelState], modes: Sequence[Mode]) -> tupl
     ("pnc", k) is (x - 1/2)·k with k = 1/g1r + 1/g2r, ("dnc", a, b) is
     (x - 1)/a + x(x - 1)/b with a = g_mr and b = g_Mr, ("dn", g) is (x - 1)/g.
     """
-    up = [("pnc", 1.0 / s.g1r + 1.0 / s.g2r) if mode is Mode.PNC else ("dnc", s.g_mr, s.g_Mr)
+    up = [("pnc", 1.0 / s.g1r + 1.0 / s.g2r) if is_pnc(mode) else ("dnc", s.g_mr, s.g_Mr)
           for s, mode in zip(states, modes)]
     return up, [("dn", s.g_rm) for s in states]
 
@@ -149,14 +149,13 @@ def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode
         raise ValueError(f"got {n} states but {len(modes)} modes")
     if not (target_rate >= 0.0 and math.isfinite(target_rate)):
         raise ValueError(f"target rate must be nonnegative and finite, got {target_rate!r}")
+    up_curves, dn_curves = _power_curves(states, modes)
     if target_rate == 0.0:
         zeros = tuple(0.0 for _ in range(n))
         return OracleResult(0.0, 0.5, 0.5, zeros, zeros, grid)
 
     shapes0 = _shape_matrix(grid.rate_levels(), n)  # every row has mean 1
     f_vals = grid.f_values()
-
-    up_curves, dn_curves = _power_curves(states, modes)
     up_store, up_power, up_arg = _refined_phase(shapes0, f_vals, target_rate, up_curves, grid)
     dn_store, dn_power, dn_arg = _refined_phase(shapes0, f_vals, target_rate, dn_curves, grid)
 
@@ -197,7 +196,8 @@ def _phase_minima(shape_mat: np.ndarray, f_vals: np.ndarray, target: float,
     rows = min(max(1, _BLOCK // m), f_vals.shape[0])
     total, x, t = (np.empty((rows, m)) for _ in range(3))
     power, arg = np.empty(f_vals.shape[0]), np.empty(f_vals.shape[0], dtype=int)
-    with np.errstate(over="ignore"):
+    # where target / f overflows, 0·inf at a silent entry prices NaN, which loses
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, f_vals.shape[0], rows):
             scales = target / f_vals[lo:lo + rows, None]
             tot, xb, tb = (buf[:scales.shape[0]] for buf in (total, x, t))

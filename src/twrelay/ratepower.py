@@ -29,6 +29,13 @@ class Mode(enum.Enum):
     SPCDNC = "spc-dnc"
 
 
+def is_pnc(mode) -> bool:
+    """Whether `mode` is `Mode.PNC`; anything not a `Mode`, such as "pnc", is refused."""
+    if not isinstance(mode, Mode):
+        raise ValueError(f"a strategy must be a Mode member, got {mode!r}")
+    return mode is Mode.PNC
+
+
 def _check_rate(rate: float) -> None:
     if not (rate > 0 and math.isfinite(rate)):
         raise ValueError(f"rate must be positive and finite, got {rate!r}")

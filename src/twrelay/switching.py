@@ -23,7 +23,7 @@ import numpy as np
 
 from .allocation import Allocation, SolverOptions, solve_fixed_modes
 from .channel import ChannelState, States, as_states
-from .ratepower import Mode, prefer_pnc
+from .ratepower import Mode, is_pnc, prefer_pnc
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,6 @@ def _reselect(alloc: Allocation, st: States) -> np.ndarray:
     return pnc
 
 
-def _report(alloc: Allocation, trace: list[float], epsilon: float,
-            converged: bool) -> SwitchReport:
-    n_pnc = int(np.count_nonzero(alloc.per_state.pnc))
-    return SwitchReport(
-        final=alloc,
-        energy_trace=tuple(trace),
-        iterations=len(trace),
-        epsilon=epsilon,
-        mode_counts=(n_pnc, len(alloc.per_state) - n_pnc),
-        converged=converged,
-    )
-
-
 def solve_switching(states: Sequence[ChannelState], target_rate: float,
                     epsilon: float = 1e-4, max_iter: int = 200,
                     init_mode: Mode = Mode.SPCDNC,
@@ -88,7 +75,7 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     st = as_states(states)
-    pnc = np.full(len(st), init_mode is Mode.PNC)
+    pnc = np.full(len(st), is_pnc(init_mode))
     alloc = solve_fixed_modes(st, pnc, target_rate, opts)
     trace = [alloc.avg_energy]
     converged = False
@@ -109,10 +96,12 @@ def solve_switching(states: Sequence[ChannelState], target_rate: float,
         trace.append(alloc.avg_energy)
         if rel < epsilon:
             converged = True
-    return _report(alloc, trace, epsilon, converged)
+    n_pnc = int(np.count_nonzero(pnc))
+    return SwitchReport(final=alloc, energy_trace=trace, iterations=len(trace), epsilon=epsilon,
+                        mode_counts=(n_pnc, len(pnc) - n_pnc), converged=converged)
 
 
 def solve_baseline(states: Sequence[ChannelState], target_rate: float, mode: Mode,
                    opts: SolverOptions | None = None) -> Allocation:
     """Fixed-assignment solution with every state forced to one strategy."""
-    return solve_fixed_modes(states, np.full(len(states), mode is Mode.PNC), target_rate, opts)
+    return solve_fixed_modes(states, np.full(len(states), is_pnc(mode)), target_rate, opts)

@@ -33,8 +33,8 @@ from twrelay import (
     solve_fixed_modes,
 )
 from twrelay import allocation
-from twrelay.allocation import (_downlink, _evaluate_split, _mean_power, _powers, _rate_slope,
-                                _rate_sums, _search_split, _stationary_x, _uplink)
+from twrelay.allocation import (_downlink, _evaluate_split, _mean_power, _powers, _rate_sums,
+                                _rates, _search_split, _stationary_x, _uplink)
 from twrelay.cli import ExperimentConfig, run_sweep
 
 LN2 = math.log(2.0)
@@ -168,6 +168,18 @@ def test_mixed_linear_and_quadratic_curves_at_a_huge_multiplier():
     assert abs(np.mean(rates) - 764.0) <= 1e-12 * 764.0
 
 
+def mean_and_slope(ph, rates, beta):
+    # the per-state reference of `_rate_sums`: the mean of rates of the
+    # per-state map at beta and its derivative in ln(beta), which is
+    # (qa x + qb) / ((2 qa x + qb) ln2) per active state, qa = 2 ln2 b
+    if ph.all_linear:
+        slope = np.count_nonzero(rates) / LN2
+    else:
+        qx = 2.0 * LN2 * ph.b * np.maximum(_stationary_x(ph, beta), 1.0)
+        slope = float(((qx + ph.qb) / ((2.0 * qx + ph.qb) * LN2)).sum(where=rates > 0.0))
+    return float(rates.sum()) / ph.n, slope / ph.n
+
+
 def test_a_silenced_phase_is_the_masked_rate_map():
     # holding PNC states silent by zeroing their x per unit of beta must be
     # the plain map with those rates set to 0, bit for bit, at any beta
@@ -182,19 +194,10 @@ def test_a_silenced_phase_is_the_masked_rate_map():
         silent[idx] = True
         quiet = full.silenced(idx)
         for beta in np.exp(rng.uniform(math.log(1e-300), 999.0 * LN2, size=8)).tolist():
-            _, _, rates = _rate_slope(full, beta)
-            masked = np.where(silent, 0.0, rates)
-            mean, slope, got = _rate_slope(quiet, beta)
+            masked = np.where(silent, 0.0, _rates(full, beta))
+            got = _rates(quiet, beta)
             assert got.tobytes() == masked.tobytes(), (trial, beta)
-            assert mean == float(masked.sum()) / n
-            if full.all_linear:
-                want = np.count_nonzero(masked) / LN2 / n
-            else:
-                x = np.maximum(_stationary_x(full, beta), 1.0)
-                qx = full.qa * x
-                want = float(((qx + full.qb) / ((2.0 * qx + full.qb) * LN2))
-                             .sum(where=masked > 0.0)) / n
-            assert slope == want, (trial, beta)
+            assert mean_and_slope(quiet, got, beta) == mean_and_slope(full, masked, beta)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 10_000])
@@ -219,14 +222,15 @@ def test_table_sums_equal_the_per_state_map(n):
     for label, ph in phases:
         # every state's breakpoint, the beta where it leaves the clamp (qa = 0
         # on a linear curve)
-        kinks = ph.qb if ph.qa is None else ph.qa + ph.qb
+        kinks = ph.qb + 2.0 * LN2 * ph.b
         lo, hi = kinks.min(), kinks.max()
         betas = [lo, np.nextafter(lo, np.inf), *rng.choice(kinks, min(n, 5), replace=False),
                  4.0 * hi, *np.exp(rng.uniform(np.log(lo), np.log(hi) + 2.0, 5))]
         for beta in map(float, betas):
             rate, slope, m, x = _rate_sums(ph, beta)
             power = _mean_power(ph, beta, m, x)
-            want_rate, want_slope, rates = _rate_slope(ph, beta)
+            rates = _rates(ph, beta)
+            want_rate, want_slope = mean_and_slope(ph, rates, beta)
             p, _, want_env = _powers(ph, rates)
             assert m == np.count_nonzero(rates[ph.linear] > 0.0), (label, beta)
             # just past a breakpoint a power a (x - o) + b x (x - 1) is at the
@@ -535,8 +539,10 @@ def test_golden_section_matches_dense_scan():
 
 
 def test_scan_rejects_fractions_outside_the_open_interval():
-    with pytest.raises(ValueError, match="inside"):
-        scan_split_energies([UNIT], [Mode.PNC], 0.5, [0.0, 0.5])
+    # NaN too: its multiplier solve would probe beta = NaN without end
+    for grid in ([0.0, 0.5], [math.nan], [0.5, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="inside"):
+            scan_split_energies(sample_states(2, 3), [Mode.PNC] * 2, 0.5, grid)
 
 
 def test_scan_solves_its_multipliers_under_the_options():
@@ -595,7 +601,7 @@ def test_split_search_work_on_the_default_sweep(monkeypatch):
     # map runs once per phase of each fixed-mode solve, for the probe it
     # returns (one `_optimize_split` each)
     counts = {"_search_split": 0, "_evaluate_split": 0, "_optimize_split": 0, "_rate_sums": 0,
-              "_rate_slope": 0, "_powers": 0, "_stationary_x": 0}
+              "_rates": 0, "_powers": 0, "_stationary_x": 0}
 
     def counted(name):
         inner = getattr(allocation, name)
@@ -617,8 +623,8 @@ def test_split_search_work_on_the_default_sweep(monkeypatch):
     assert counts["_search_split"] == 154
     assert counts["_evaluate_split"] <= 600
     assert counts["_rate_sums"] <= 2100
-    assert counts["_rate_slope"] == counts["_powers"] == 2 * counts["_optimize_split"] == 94
-    assert counts["_stationary_x"] == counts["_rate_slope"]
+    assert counts["_rates"] == counts["_powers"] == 2 * counts["_optimize_split"] == 94
+    assert counts["_stationary_x"] == counts["_rates"]
     # each fixed-mode solve builds its uplink phase, while the draw keeps
     # one downlink phase (the only linear curves with o = 1) and sorts
     # twice, for it and for the PNC order; a build per solve made 94

@@ -172,6 +172,31 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# `twrelay sweep` with the default config, every printed digit; a refactor
+# that moves any value in its twelfth digit changes this text
+DEFAULT_SWEEP_CSV = """\
+lambda,energy_switch,energy_pnc_only,energy_dnc_only,f_u,iterations,pnc_state_fraction
+0.25,0.865057357351,0.924464341649,0.931231381852,0.581908942602,2,0.074
+0.5,2.64995979258,2.77536105796,3.0972871435,0.54710365008,2,0.291
+0.75,5.54524050975,5.69609850886,7.00581361152,0.529766073259,3,0.515
+1,9.89422699058,10.070250239,13.6354557467,0.524056512655,3,0.663
+1.25,16.2698369713,16.449407455,24.6229307863,0.521920893578,4,0.76
+1.5,25.4935993962,25.68287203,42.6541326886,0.521015381023,3,0.828
+1.75,38.7436900159,38.958767668,72.0910447701,0.519444973777,3,0.868
+2,57.768375913,57.9983380782,119.94415316,0.518304180175,3,0.892
+2.25,84.9598735138,85.2049371115,197.748067784,0.517052553191,3,0.924
+2.5,123.654975996,123.967716746,324.588760412,0.515957199477,3,0.943
+2.75,178.592023926,179.002631664,531.936000222,0.515104909136,3,0.953
+3,256.327080559,256.863504159,871.966699925,0.514097315767,3,0.962
+"""
+
+
+def test_default_sweep_csv_is_pinned_literally(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]) == 0
+    assert out.read_text() == DEFAULT_SWEEP_CSV
+
+
 def test_sweep_rows_are_sorted_and_dominant(tmp_path):
     cfg = ExperimentConfig(lambdas=(1.0, 0.5), n_states=25, seed=3)
     rows = run_sweep(cfg)

@@ -1,6 +1,7 @@
 """Brute-force ground truth for small instances and the convexity probe."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ def test_oracle_results_are_pinned_exactly(instance, pinned):
         return
     res = brute_force_fixed_modes(states, modes, lam)
     assert (res.energy, res.f_u, res.f_d, res.rates_u, res.rates_d) == pinned
+
+
+@pytest.mark.parametrize("label", ["pnc", "dnc", "mixed"])
+def test_a_target_whose_rates_overflow_is_infeasible_without_warnings(label):
+    # at 1e307 target / f overflows to inf, and 0·inf at the silent entries
+    # must lose the comparison, not warn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="no feasible grid point"):
+            brute_force_fixed_modes(sample_states(2, 3), _mode_vectors(2)[label], 1e307)
+    assert not caught
 
 
 def _masked_phase_minima(shape_mat, f_vals, target, curves):

@@ -4,8 +4,8 @@ single-strategy baselines, and seeded regressions on the standard draw."""
 import numpy as np
 import pytest
 
-from twrelay import (Mode, SolverOptions, prefer_pnc, sample_states, solve_baseline,
-                     solve_switching)
+from twrelay import (Mode, SolverOptions, brute_force_fixed_modes, perspective_energy,
+                     prefer_pnc, sample_states, solve_baseline, solve_switching)
 
 # frozen outputs of the 1000-state seed-7 draw (first run of this build)
 TRACE_SEED7_LAM2 = (119.94415315973495, 57.92491617664933, 57.76837591300949)
@@ -164,3 +164,16 @@ def test_iteration_cap_must_be_an_integer(max_iter):
     # 2.5 ran 3 iterations and True ran 1
     with pytest.raises(ValueError, match="max_iter must be an integer"):
         solve_switching(sample_states(20, 3), 1.0, epsilon=1e-300, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("call", [
+    lambda st: solve_switching(st, 1.0, init_mode="pnc"),
+    lambda st: solve_baseline(st, 1.0, "pnc"),
+    lambda st: perspective_energy(st[0], "pnc"),
+    lambda st: brute_force_fixed_modes(st[:2], ["pnc", Mode.SPCDNC], 1.0),
+], ids=["solve_switching", "solve_baseline", "perspective_energy", "brute_force_fixed_modes"])
+def test_a_strategy_that_is_not_a_mode_is_refused(call):
+    # read as SPC-DNC, "pnc" would give solve_baseline the SPC-DNC energy
+    # here, 14.8396, against 10.9211 for PNC
+    with pytest.raises(ValueError, match="got 'pnc'"):
+        call(sample_states(20, 3))
