@@ -91,6 +91,7 @@ class StateAllocation:
     power_d: float
 
     def __post_init__(self):
+        is_pnc(self.mode)  # refuses anything not a Mode
         for name in ("rate_u", "rate_d", "power_u", "power_d"):
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v)):
@@ -298,15 +299,15 @@ class _Phase:
 
     At multiplier beta a state's stationary point solves P'(rate) = beta,
     that is qa x^2 + qb x = beta with qa = 2 ln2 b and qb = ln2 (a - b);
-    linear curves (b = 0: the broadcast and PNC) give x = beta / qb.
+    linear curves (b = 0: the broadcast and PNC) give x = beta inv_qb.
+    `quad` holds (qa, 4 qa, qb, a, o, b) of the quadratic states, or None.
 
     The linear states also form a table for `_rate_sums`: `table` lists them
-    by x per unit of beta, largest first (ties by descending index), so the
-    states active at any beta are a head of it, at most `cap` long.
-    `neg_inv` holds -inv_qb in that order, `log_sum[m]` the sum of
-    log2(inv_qb[table[0]] / inv_qb[table[i]]) over its first m entries and
-    `ao_sum[m]` that of a o. `quad` holds (qa, qa4, qb, a, o, b) of the
-    quadratic states, or None when there are none.
+    by inv_qb, largest first (ties by descending index), so the states
+    active at any beta are a head of it, its first `cap` at most; the rest
+    are silent at every beta (`silenced`). `neg_inv` holds -inv_qb in that
+    order, `log_sum[m]` the sum of log2(inv_qb[table[0]] / inv_qb[table[i]])
+    over its first m entries and `ao_sum[m]` that of a o.
 
     `order` lists every state with its linear ones in table order
     (`_linear_order`), so `table` picks them out without a sort, and is
@@ -315,25 +316,20 @@ class _Phase:
     keeps its downlink phase for every later solve (`_downlink`).
     """
 
-    __slots__ = ("n", "a", "o", "b", "qa4", "qb", "inv_qb", "linear",
-                 "all_linear", "any_linear", "table", "neg_inv", "log_sum", "ao_sum",
-                 "cap", "quad")
+    __slots__ = ("n", "a", "o", "b", "inv_qb", "linear", "table", "neg_inv", "log_sum",
+                 "ao_sum", "cap", "quad")
 
     def __init__(self, a, o, b, order):
         self.a, self.o, self.b = np.broadcast_arrays(a, o, b)
         self.n = self.a.size
-        self.qb = LN2 * (self.a - self.b)
+        qb = LN2 * (self.a - self.b)
         self.linear = self.b == 0.0
-        self.all_linear = bool(self.linear.all())
-        self.any_linear = bool(self.linear.any())
-        # stationary x per unit of beta on the linear curves
-        self.inv_qb = np.divide(1.0, self.qb, out=np.zeros(self.n), where=self.linear)
-        self.qa4 = self.quad = None
-        if not self.all_linear:
+        self.inv_qb = np.divide(1.0, qb, out=np.zeros(self.n), where=self.linear)
+        self.quad = None
+        if not self.linear.all():
             qa = 2.0 * LN2 * self.b
-            self.qa4 = 4.0 * qa
-            self.quad = (qa, self.qa4, self.qb, self.a, self.o, self.b)
-            if self.any_linear:
+            self.quad = (qa, 4.0 * qa, qb, self.a, self.o, self.b)
+            if self.linear.any():
                 # the quadratic states' rows of one block: separate copies
                 # fragment the heap enough to raise a 50k solve's peak memory
                 quad = ~self.linear
@@ -342,7 +338,7 @@ class _Phase:
                     np.compress(quad, v, out=row)
                 block.flags.writeable = False
                 self.quad = tuple(block)
-        self.table = order if self.all_linear else order[self.linear[order]]
+        self.table = order if self.quad is None else order[self.linear[order]]
         self.cap = m = self.table.size
         self.neg_inv = self.inv_qb[self.table]
         np.negative(self.neg_inv, out=self.neg_inv)
@@ -357,17 +353,14 @@ class _Phase:
             if isinstance(v, np.ndarray):
                 v.flags.writeable = False
 
-    def silenced(self, idx) -> "_Phase":
-        """Copy with the states at `idx` silent at every beta; `idx` must index linear curves.
+    def silenced(self, k: int) -> "_Phase":
+        """Copy with k more states at the table's tail silent at every beta.
 
-        The per-state map holds any such states at rate 0; the table's sums
-        do so only for its tail, the linear states with the largest qb, which
-        is what `_optimize_split` silences.
+        Those are the linear states with the largest qb, the PNC states
+        that `_optimize_split` silences. Only `cap` changes.
         """
         out = copy.copy(self)
-        out.inv_qb = self.inv_qb.copy()
-        out.inv_qb[idx] = 0.0
-        out.cap = self.cap - len(idx)
+        out.cap = self.cap - k
         return out
 
 
@@ -428,12 +421,10 @@ def _quadratic_x(qa4, qb, beta: float):
 
 def _stationary_x(ph: _Phase, beta):
     """Unclamped stationary points x = 2^rate at beta > 0: a scalar, or a column (a row each)."""
-    if ph.all_linear:
-        return beta * ph.inv_qb
-    x = _quadratic_x(ph.qa4, ph.qb, beta)
-    if ph.any_linear:
-        # with qa = 0 that root comes out as 2 beta / qb once t^2 underflows
-        x = np.where(ph.linear, beta * ph.inv_qb, x)
+    x = beta * ph.inv_qb
+    if ph.quad is not None:
+        x[..., ~ph.linear] = _quadratic_x(*ph.quad[1:3], beta)
+    x[..., ph.table[ph.cap:]] = 0.0  # silent at every beta
     return x
 
 
@@ -527,10 +518,11 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
     the bracket of points below and above the target becomes a
     factor 4 while that side is open, else the geometric midpoint. The
     search stops at a rate error of 1e-15 relative, or 3 steps after it is
-    within opts.rate_rtol, or where a step no longer moves beta. Returns
-    beta with its probe's mean rate, slope, m and x (`_rate_sums`; 0, 0, 0,
-    0 and None for target 0). Raises RuntimeError when beta would overflow
-    float64 or after opts.max_bisect_iter steps. The caller sets numpy's
+    within opts.rate_rtol, or where a step no longer moves beta, or at the
+    upper end of a bracket closed on adjacent floats. Returns beta with its
+    probe's mean rate, slope, m and x (`_rate_sums`; 0, 0, 0, 0 and None for
+    target 0). Raises RuntimeError when beta or 2^rate would overflow
+    float64, or after opts.max_bisect_iter steps. The caller sets numpy's
     error state: overflow, invalid and divide ignored.
     """
     if target <= 0.0:
@@ -560,8 +552,12 @@ def _solve_multiplier(ph: _Phase, target: float, opts: SolverOptions,
             else:
                 nxt = min(4.0 * beta if err < 0.0 else 0.25 * beta, _MAX)
             if not lo < nxt < hi:
-                # adjacent floats or the float64 limit: the rate jumps
-                # across the target, as where 2^rate overflows to inf
+                if hi < math.inf:
+                    # adjacent floats: the least beta probed that reaches the
+                    # target, unless 2^rate overflows to inf there
+                    upper = _rate_sums(ph, hi)
+                    if upper[0] < math.inf:
+                        return (hi, *upper)
                 raise RuntimeError("rate target unreachable in float64")
         beta = nxt
     raise RuntimeError("multiplier search did not reach tolerance within the iteration cap")
@@ -701,41 +697,39 @@ def _optimize_split(up: _Phase, dn: _Phase, lam: float, opts: SolverOptions):
     that shrinks by one. Raises ValueError when no split is feasible.
     """
     warm: dict = {}
-    # the PNC states, the only curves with a cost at rate 0, by falling qb
-    order = up.table[::-1]
     found: dict[int, _SplitEval | None] = {}
 
     def energy(k: int) -> float:
         if k not in found:
             found[k] = (None if k == up.n else
-                        _search_split(up.silenced(order[:k]), dn, lam, opts, warm))
+                        _search_split(up.silenced(k), dn, lam, opts, warm))
         return math.inf if found[k] is None else found[k].energy
 
     if energy(0) == math.inf:
         raise ValueError(
             f"no feasible time split in [{opts.f_lo}, {opts.f_hi}] for target {lam}")
-    if opts.refine_uplink and order.size:
-        x_unit = up.inv_qb[order]  # stationary x per unit of beta1
+    if opts.refine_uplink and up.cap:
         # jump near the best prefix first: at n = 1000 the walk alone would
         # step through the prefixes one split search at a time
         k = 0
         while True:
-            k = int(np.count_nonzero(found[k].beta1 * x_unit < _SILENCE_X))
+            # beta1 (-neg_inv) is each PNC state's stationary x
+            k = int(np.count_nonzero(found[k].beta1 * up.neg_inv > -_SILENCE_X))
             if k in found or energy(k) == math.inf:
                 break
         k = min(found, key=energy)
         while True:
             # silence the next PNC state that is still active; the ones
             # between k and it are already held at zero by the clamp
-            j = order.size - found[k].active_u + 1
-            if j > order.size or energy(j) >= energy(k):
+            j = up.cap - found[k].active_u + 1
+            if j > up.cap or energy(j) >= energy(k):
                 break
             k = j
         k = min(found, key=energy)
         while k > 0 and energy(k - 1) < energy(k):
             k -= 1
     k = min(found, key=energy)
-    return found[k], up.silenced(order[:k])
+    return found[k], up.silenced(k)
 
 
 def _check_problem(states, modes, target_rate) -> None:

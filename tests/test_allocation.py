@@ -31,6 +31,7 @@ from twrelay import (
     solve_beta1,
     solve_beta2,
     solve_fixed_modes,
+    solve_switching,
 )
 from twrelay import allocation
 from twrelay.allocation import (_downlink, _evaluate_split, _mean_power, _powers, _rate_sums,
@@ -148,6 +149,16 @@ def test_multiplier_overflow_is_a_runtime_error_without_warnings():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_rate_that_overflows_to_inf_is_no_multiplier():
+    # 2^rate overflows between two adjacent multipliers, so the upper one
+    # carries an infinite rate; it is the float64 limit, not an answer
+    states = [ChannelState(1e3, 1e3, 1e3, 1e3)]
+    assert solve_beta2(states, 1023.0) < math.inf
+    for solve in (lambda t: solve_beta2(states, t), lambda t: solve_beta1(states, [Mode.PNC], t)):
+        with pytest.raises(RuntimeError, match="unreachable in float64"):
+            solve(1030.0)
+
+
 def test_a_split_whose_envelope_sum_overflows_is_infeasible():
     # a probe's envelope term is a mean, but the per-state map that builds
     # the probe returned sums it over the states first; at lambda = 505
@@ -172,27 +183,30 @@ def mean_and_slope(ph, rates, beta):
     # the per-state reference of `_rate_sums`: the mean of rates of the
     # per-state map at beta and its derivative in ln(beta), which is
     # (qa x + qb) / ((2 qa x + qb) ln2) per active state, qa = 2 ln2 b
-    if ph.all_linear:
+    if ph.quad is None:
         slope = np.count_nonzero(rates) / LN2
     else:
         qx = 2.0 * LN2 * ph.b * np.maximum(_stationary_x(ph, beta), 1.0)
-        slope = float(((qx + ph.qb) / ((2.0 * qx + ph.qb) * LN2)).sum(where=rates > 0.0))
+        qb = LN2 * (ph.a - ph.b)
+        slope = float(((qx + qb) / ((2.0 * qx + qb) * LN2)).sum(where=rates > 0.0))
     return float(rates.sum()) / ph.n, slope / ph.n
 
 
 def test_a_silenced_phase_is_the_masked_rate_map():
-    # holding PNC states silent by zeroing their x per unit of beta must be
-    # the plain map with those rates set to 0, bit for bit, at any beta
+    # holding the last k states of the PNC table silent, by the table's cap
+    # alone, must be the plain map with those rates set to 0, bit for bit,
+    # at any beta, and must share the full phase's arrays
     rng = np.random.default_rng(19)
     for trial in range(200):
         n = int(rng.integers(1, 51))
         states, modes = rand_instance(rng, n)
         full = _uplink(states, modes)
-        pnc = np.flatnonzero([m is Mode.PNC for m in modes])
-        idx = pnc[rng.random(pnc.size) < 0.5]
+        k = int(rng.integers(0, full.cap + 1))
         silent = np.zeros(n, dtype=bool)
-        silent[idx] = True
-        quiet = full.silenced(idx)
+        silent[full.table[full.cap - k:]] = True
+        quiet = full.silenced(k)
+        assert quiet.cap == full.cap - k
+        assert np.shares_memory(quiet.inv_qb, full.inv_qb)
         for beta in np.exp(rng.uniform(math.log(1e-300), 999.0 * LN2, size=8)).tolist():
             masked = np.where(silent, 0.0, _rates(full, beta))
             got = _rates(quiet, beta)
@@ -215,14 +229,12 @@ def test_table_sums_equal_the_per_state_map(n):
     phases = [("downlink", _downlink(st))]
     for label, pnc in masks.items():
         up = _uplink(st, pnc)
-        order = up.table[::-1]
-        for k in sorted({0, 1, order.size // 3, order.size - 1, order.size}
-                        & set(range(order.size + 1))):
-            phases.append((f"{label}, {k} silent", up.silenced(order[:k])))
+        for k in sorted({0, 1, up.cap // 3, up.cap - 1, up.cap} & set(range(up.cap + 1))):
+            phases.append((f"{label}, {k} silent", up.silenced(k)))
     for label, ph in phases:
         # every state's breakpoint, the beta where it leaves the clamp (qa = 0
         # on a linear curve)
-        kinks = ph.qb + 2.0 * LN2 * ph.b
+        kinks = LN2 * (ph.a - ph.b) + 2.0 * LN2 * ph.b
         lo, hi = kinks.min(), kinks.max()
         betas = [lo, np.nextafter(lo, np.inf), *rng.choice(kinks, min(n, 5), replace=False),
                  4.0 * hi, *np.exp(rng.uniform(np.log(lo), np.log(hi) + 2.0, 5))]
@@ -629,7 +641,7 @@ def test_split_search_work_on_the_default_sweep(monkeypatch):
     # one downlink phase (the only linear curves with o = 1) and sorts
     # twice, for it and for the PNC order; a build per solve made 94
     # phases, 47 of them downlinks, and 94 sorts
-    downlinks = [ph for ph in phases if ph.all_linear and (ph.o == 1.0).all()]
+    downlinks = [ph for ph in phases if ph.quad is None and (ph.o == 1.0).all()]
     assert len(phases) == counts["_optimize_split"] + 1 == 48
     assert len(downlinks) == 1
     assert len(sorts) == 2
@@ -679,7 +691,7 @@ def test_phase_tables_are_the_sort_of_their_linear_states(n):
     curve = allocation.broadcast_curve(st.g_rm)
     order = allocation._linear_order(curve[0])
     assert np.shares_memory(allocation._Phase(*curve, order).table, order)
-    for v in (st._derived["pnc_order"], dn.a, dn.o, dn.b, dn.qb, dn.inv_qb, dn.linear,
+    for v in (st._derived["pnc_order"], dn.a, dn.o, dn.b, dn.inv_qb, dn.linear,
               dn.table, dn.neg_inv, dn.log_sum, dn.ao_sum):
         with pytest.raises(ValueError, match="read-only"):
             v[0] = v[-1]
@@ -692,11 +704,10 @@ def test_prefix_walk_matches_every_prefix_at_n_1000(seed):
     # PNC-only optimum, which the walk must reach with its few
     states = sample_states(1000, seed)
     up, dn = _uplink(states, np.ones(1000, bool)), _downlink(states)
-    order = up.table[::-1]
     opts = SolverOptions()
     for lam in (0.05, 0.25, 1.0, 3.0):
         warm: dict = {}
-        evs = [_search_split(up.silenced(order[:k]), dn, lam, opts, warm) for k in range(1000)]
+        evs = [_search_split(up.silenced(k), dn, lam, opts, warm) for k in range(1000)]
         best = min(ev.energy for ev in evs if ev is not None)
         walk = solve_baseline(states, lam, Mode.PNC).avg_energy
         assert abs(walk - best) <= 1e-12 * best, (lam, walk, best)
@@ -740,6 +751,33 @@ def test_split_search_bisects_where_the_slope_overflows():
     best = int(np.argmin(energy))
     assert abs(alloc.split.f_u - f[best]) <= SolverOptions().f_tol
     assert alloc.avg_energy <= energy[best] * (1.0 + 1e-9)
+
+
+def test_a_resolution_failure_is_not_read_as_an_overflow():
+    # at lambda = 1e-7 the downlink's multiplier bracket closes on adjacent
+    # floats with the rate 1.5e-16 short of its target; read as an overflow
+    # it moved the split to f_u = 0.5, at 500 times the energy of the
+    # optimum at f_lo
+    lam, opts = 1e-7, SolverOptions()
+    alloc = solve_fixed_modes([UNIT], [Mode.PNC], lam)
+    f = np.linspace(opts.f_lo, opts.f_hi, 200001)
+    energy = (allocation.perspective_energy(UNIT, Mode.PNC)(lam, f)
+              + allocation.perspective_downlink_energy(UNIT)(lam, 1.0 - f))
+    best = float(energy.min())
+    assert abs(alloc.avg_energy - best) <= 1e-6 * best
+
+
+@pytest.mark.parametrize("n, lam", [(1, 1e-8), (1, 1e-9), (1000, 1e-12)])
+def test_tiny_targets_below_the_rate_resolution_are_met(seed7_states, n, lam):
+    # near the clamp float64 resolves a rate only to ~3e-16, so these
+    # targets end on a bracket of adjacent multipliers; each raised "no
+    # feasible time split" before, and each must now carry its target
+    states = [UNIT] if n == 1 else seed7_states
+    floor = lam * (1.0 - SolverOptions().rate_rtol)
+    allocs = [solve_baseline(states, lam, mode) for mode in Mode]
+    allocs.append(solve_switching(states, lam).final)
+    for alloc in allocs:  # avg_rate is f mean(rate) of the per-state map
+        assert alloc.avg_rate_u >= floor and alloc.avg_rate_d >= floor
 
 
 # ------------------------------------------------------------------ errors
@@ -849,6 +887,12 @@ def test_per_state_is_columnar_and_builds_items_on_demand():
     again = dataclasses.replace(alloc, per_state=tuple(items))
     assert isinstance(again.per_state, allocation.StateAllocations)
     assert again == alloc
+
+
+def test_an_item_refuses_a_mode_that_is_not_a_mode():
+    # "pnc" was taken, and its schedule stored as SPC-DNC
+    with pytest.raises(ValueError, match="'pnc'"):
+        StateAllocation("pnc", 1.0, 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad, message", [
