@@ -821,10 +821,10 @@ def kkt_residuals(alloc: Allocation, states: Sequence[ChannelState],
     """
     per = alloc.per_state
     st = as_states(states)
-    pnc = per.pnc if modes is None else _pnc_mask(modes)
-    _check_problem(st, pnc, 0.0)
     if len(per) != len(st):
         raise ValueError(f"allocation covers {len(per)} states, got {len(st)}")
+    pnc = per.pnc if modes is None else _pnc_mask(modes)
+    _check_problem(st, pnc, 0.0)
     rows = []
     for ph, rates, beta in ((_uplink(st, pnc), per.rate_u, alloc.duals.beta1),
                             (_downlink(st), per.rate_d, alloc.duals.beta2)):

@@ -14,13 +14,14 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocation import SolverOptions, StateAllocations, solve_fixed_modes
+from .allocation import (SolverOptions, StateAllocations, perspective_downlink_energy,
+                         perspective_energy, solve_fixed_modes)
 from .channel import (DETERMINISTIC, RAYLEIGH, ChannelState, FadingModel, States,
                       load_states, sample_states, save_states)
 from .oracle import GridSpec, brute_force_fixed_modes, midpoint_convexity_probe
@@ -203,17 +204,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r.target_rate),
-            _fmt(r.energy_switch),
-            _fmt(r.energy_pnc_only),
-            _fmt(r.energy_dnc_only),
-            _fmt(r.f_u),
-            str(r.iterations),
-            _fmt(r.pnc_state_fraction),
-        ]))
+    lines = [SWEEP_HEADER, *(",".join(map(_fmt, astuple(r))) for r in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -368,28 +359,20 @@ def _agreement_check(seed: int, n: int, lam: float, label: str, modes: list[Mode
 
 
 def _convexity_checks() -> list[Check]:
-    from .allocation import perspective_downlink_energy, perspective_energy
-
     state = ChannelState(1.3, 0.7, 0.9, 1.8)
-    surfaces = {
-        "convexity[pnc-uplink]": perspective_energy(state, Mode.PNC),
-        "convexity[dnc-uplink]": perspective_energy(state, Mode.SPCDNC),
-        "convexity[downlink]": perspective_downlink_energy(state),
-    }
+    # (name, surface, whether it is convex); the concave control must be caught
+    table = [
+        ("convexity[pnc-uplink]", perspective_energy(state, Mode.PNC), True),
+        ("convexity[dnc-uplink]", perspective_energy(state, Mode.SPCDNC), True),
+        ("convexity[downlink]", perspective_downlink_energy(state), True),
+        ("convexity[negative-control]", lambda t, f: -t * t, False),
+    ]
     checks: list[Check] = []
-    for name, fn in surfaces.items():
-        def run(fn=fn) -> tuple[bool, str]:
+    for name, fn, convex in table:
+        def run(fn=fn, convex=convex) -> tuple[bool, str]:
             probe = midpoint_convexity_probe(fn, (0.0, 3.0), (0.05, 0.95), 2000, seed=42)
-            return probe.passed, f"worst violation {probe.worst_violation:.2e}"
+            return probe.passed == convex, f"worst violation {probe.worst_violation:.2e}"
         checks.append((name, run))
-
-    def negative_control() -> tuple[bool, str]:
-        probe = midpoint_convexity_probe(lambda t, f: -t * t, (0.0, 3.0), (0.05, 0.95),
-                                         2000, seed=42)
-        # the concave surface must be caught
-        return not probe.passed, f"worst violation {probe.worst_violation:.2e}"
-
-    checks.append(("convexity[negative-control]", negative_control))
     return checks
 
 

@@ -12,7 +12,8 @@ arbitrary (T, f) energy surfaces by seeded sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,13 +48,17 @@ class GridSpec:
     refine_shrink: float = 0.3
 
     def __post_init__(self):
+        for name in ("n_f", "n_geom", "n_lin", "refine_rounds", "refine_span"):
+            k = getattr(self, name)
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {k!r}")
         if self.n_f < 3 or self.n_geom < 2 or self.n_lin < 2:
             raise ValueError("grid too coarse")
-        if not (0.0 < self.rate_floor < self.rate_knee < self.rate_cap):
-            raise ValueError("need 0 < rate_floor < rate_knee < rate_cap")
+        if not (0.0 < self.rate_floor < self.rate_knee < self.rate_cap < math.inf):
+            raise ValueError("need 0 < rate_floor < rate_knee < rate_cap < inf")
         if self.refine_rounds < 0 or self.refine_span < 1:
             raise ValueError("bad refinement lattice")
-        if not (self.refine_step > 0.0 and 0.0 < self.refine_shrink < 1.0):
+        if not (0.0 < self.refine_step < math.inf and 0.0 < self.refine_shrink < 1.0):
             raise ValueError("bad refinement step schedule")
 
     def f_values(self) -> np.ndarray:
@@ -65,18 +70,8 @@ class GridSpec:
         return np.concatenate(([0.0], geom, lin[1:]))
 
     def halved(self) -> "GridSpec":
-        return GridSpec(
-            n_f=2 * self.n_f + 1,
-            n_geom=2 * self.n_geom,
-            n_lin=2 * self.n_lin,
-            rate_floor=self.rate_floor,
-            rate_knee=self.rate_knee,
-            rate_cap=self.rate_cap,
-            refine_rounds=self.refine_rounds,
-            refine_span=self.refine_span,
-            refine_step=0.5 * self.refine_step,
-            refine_shrink=self.refine_shrink,
-        )
+        return replace(self, n_f=2 * self.n_f + 1, n_geom=2 * self.n_geom,
+                       n_lin=2 * self.n_lin, refine_step=0.5 * self.refine_step)
 
 
 @dataclass(frozen=True)
@@ -89,21 +84,23 @@ class OracleResult:
     grid: GridSpec
 
 
-def _shape_matrix(levels: np.ndarray, n: int) -> np.ndarray:
-    """All per-state level combinations, deduplicated up to scaling.
+def _lattice(values: np.ndarray, n: int) -> np.ndarray:
+    """Every n-vector of entries from `values`, one per row, the last entry varying fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*([values] * n), indexing="ij")], axis=1)
+
+
+def _rays(cand: np.ndarray) -> np.ndarray:
+    """The distinct rays of the nonnegative rows of `cand`, each scaled to mean 1.
 
     Profiles are later rescaled to meet the rate constraint, so only the
     ray of each vector matters; normalizing to mean 1 and deduplicating
-    keeps the search space small. Entries are rounded to 12 decimals, so
-    every positive one is at least 5e-13, and the rows come sorted
-    (`_unique_rows`).
+    keeps the search space small. Rows of mean 0 are dropped. Entries are
+    rounded to 12 decimals, so every positive one is at least 5e-13, and
+    the rows come sorted (`_unique_rows`).
     """
-    grids = np.meshgrid(*([levels] * n), indexing="ij")
-    shapes = np.stack([g.ravel() for g in grids], axis=1)
-    means = shapes.mean(axis=1)
+    means = cand.mean(axis=1)
     keep = means > 0.0
-    shapes = shapes[keep] / means[keep, None]
-    return _unique_rows(np.round(shapes, 12))
+    return _unique_rows(np.round(cand[keep] / means[keep, None], 12))
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
@@ -154,10 +151,10 @@ def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode
         zeros = tuple(0.0 for _ in range(n))
         return OracleResult(0.0, 0.5, 0.5, zeros, zeros, grid)
 
-    shapes0 = _shape_matrix(grid.rate_levels(), n)  # every row has mean 1
+    shapes0 = _rays(_lattice(grid.rate_levels(), n))  # every row has mean 1
     f_vals = grid.f_values()
-    up_store, up_power, up_arg = _refined_phase(shapes0, f_vals, target_rate, up_curves, grid)
-    dn_store, dn_power, dn_arg = _refined_phase(shapes0, f_vals, target_rate, dn_curves, grid)
+    up_rows, up_power = _refined_phase(shapes0, f_vals, target_rate, up_curves, grid)
+    dn_rows, dn_power = _refined_phase(shapes0, f_vals, target_rate, dn_curves, grid)
 
     total = (f_vals * up_power)[:, None] + f_vals * dn_power  # inf, NaN, f_u + f_d > 1 lose
     total[~(total < math.inf) | (f_vals[:, None] + f_vals[None, :] > 1.0 + 1e-12)] = math.inf
@@ -165,8 +162,8 @@ def brute_force_fixed_modes(states: Sequence[ChannelState], modes: Sequence[Mode
     energy = total[i, j]
     if not math.isfinite(energy):
         raise ValueError("no feasible grid point; grid cannot carry the rate target")
-    rates_u = up_store[up_arg[i]] * (target_rate / f_vals[i])
-    rates_d = dn_store[dn_arg[j]] * (target_rate / f_vals[j])
+    rates_u = up_rows[i] * (target_rate / f_vals[i])
+    rates_d = dn_rows[j] * (target_rate / f_vals[j])
     return OracleResult(
         energy=float(energy),
         f_u=float(f_vals[i]),
@@ -229,29 +226,21 @@ def _refined_phase(shapes0: np.ndarray, f_vals: np.ndarray, target: float,
     lattice around every shape that is currently the minimizer for some
     fraction, renormalizes, and merges the improved minima; the step
     shrinks geometrically, so a few rounds buy two extra digits without
-    touching the solver. Returns (shape store, per-f power minima, per-f
-    argmin indices into the store).
+    touching the solver. Returns (per-f best shape rows, per-f power minima).
     """
-    n, store = shapes0.shape[1], shapes0
+    n = shapes0.shape[1]
     power, arg = _phase_minima(shapes0, f_vals, target, curves)
-    offsets = np.stack([g.ravel() for g in np.meshgrid(
-        *([np.arange(-grid.refine_span, grid.refine_span + 1)] * n),
-        indexing="ij")], axis=1).astype(float)
+    rows = shapes0[arg]
+    offsets = _lattice(np.arange(-grid.refine_span, grid.refine_span + 1.0), n)
     step = grid.refine_step
     for _ in range(grid.refine_rounds):
-        bases = _unique_rows(store[np.unique(arg)])
-        cand = (bases[:, None, :] + step * offsets[None, :, :]).reshape(-1, n)
-        np.maximum(cand, 0.0, out=cand)
-        means = cand.mean(axis=1)
-        keep = means > 0.0
-        cand = cand[keep] / means[keep, None]
-        cand = _unique_rows(np.round(cand, 12))
+        bases = _unique_rows(rows)
+        cand = _rays(np.maximum(bases[:, None, :] + step * offsets, 0.0).reshape(-1, n))
         p_new, a_new = _phase_minima(cand, f_vals, target, curves)
         better = p_new < power
-        power[better], arg[better] = p_new[better], a_new[better] + store.shape[0]
-        store = np.concatenate([store, cand], axis=0)
+        power[better], rows[better] = p_new[better], cand[a_new[better]]
         step *= grid.refine_shrink
-    return store, power, arg
+    return rows, power
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ def pnc_uplink_rate(snr: float) -> float:
     decode the XOR, which is where the 1/2 offset (a 3 dB penalty against
     a point-to-point link) comes from.
     """
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr!r}")
+    if not (0 <= snr < math.inf):
+        raise ValueError(f"snr must be nonnegative and finite, got {snr!r}")
     return max(0.0, math.log2(0.5 + snr))
 
 
@@ -139,19 +139,17 @@ def prefer_pnc(rate, state):
     With equal uplink gains the left side vanishes and the criterion
     reduces to R >= 1. Elementwise: a scalar rate and a `ChannelState`
     give a bool, an array of rates and a `States` of the same length a
-    boolean array.
+    boolean array; rates of any other shape are refused.
     """
-    if np.ndim(rate) == 0:
-        _check_rate(rate)
-        x = 2.0 ** float(rate)
-    else:
-        rate = np.asarray(rate, dtype=float)
-        bad = ~((rate > 0.0) & (rate < math.inf))
-        if bad.any():
-            _check_rate(float(rate[bad][0]))
-        # C pow per element, as for a scalar: numpy's power may take a SIMD
-        # kernel whose last bit differs, which can flip a decision at the tie
-        x = np.array([2.0 ** r for r in rate.tolist()])
+    rate = np.asarray(rate, dtype=float)
+    if rate.shape != np.shape(state.g_mr):
+        raise ValueError(f"rates of shape {rate.shape} for states of shape {np.shape(state.g_mr)}")
+    bad = ~((rate > 0.0) & (rate < math.inf))
+    if bad.any():
+        _check_rate(float(rate[bad][0]))
+    # C pow per element: numpy's power may take a SIMD kernel whose last
+    # bit differs from a scalar's, which can flip a decision at the tie
+    x = np.array([2.0 ** r for r in rate.ravel().tolist()]).reshape(rate.shape)
     with np.errstate(over="ignore"):  # x (x - 2) overflows to inf, as a Python float does
         pick = 0.5 / state.g_mr - 0.5 / state.g_Mr <= x * (x - 2.0) / state.g_Mr
     return bool(pick) if np.ndim(pick) == 0 else pick

@@ -830,6 +830,32 @@ def test_bad_solver_options_rejected():
             SolverOptions(max_bisect_iter=steps)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: KktPoint(-1.0, 0.0, 0.0), "beta1 must be nonnegative"),
+    (lambda: KktPoint(0.0, 0.0, math.nan), "gamma must be nonnegative"),
+    (lambda: TimeSplit(0.0, 0.5), "must be positive"),
+    (lambda: TimeSplit(0.6, 0.6), "exceed the frame"),
+    (lambda: allocation.StateAllocations([True], [1.0, 1.0], [1.0], [1.0], [1.0]),
+     "equal length"),
+    (lambda: pnc_rate_given_beta1(-1.0, UNIT), "multiplier must be nonnegative"),
+    (lambda: pnc_rate_given_beta1(math.nan, UNIT), "multiplier must be nonnegative"),
+    (lambda: solve_fixed_modes([], [], 1.0), "at least one channel state"),
+    # no modes are passed, so the error names the allocation, not modes
+    (lambda: kkt_residuals(solve_fixed_modes([UNIT, UNIT], [Mode.PNC] * 2, 0.5), [UNIT]),
+     "allocation covers 2 states, got 1"),
+], ids=["kkt-negative", "kkt-nan", "split-zero", "split-over-frame", "ragged-columns",
+        "beta1-negative", "beta1-nan", "no-states", "kkt-residuals-short"])
+def test_allocation_inputs_out_of_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_zero_target_scan_is_zero_energy():
+    f = np.array([0.25, 0.5, 0.75])
+    got = scan_split_energies(sample_states(3, 2), [Mode.PNC] * 3, 0.0, f)
+    assert got.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_options_are_plain_data():
     opts = SolverOptions()
     assert dataclasses.replace(opts, refine_uplink=False).refine_uplink is False

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from twrelay import ChannelState, FadingModel, load_states, sample_states, save_states
+from twrelay import (ChannelState, FadingModel, States, load_states, sample_states,
+                     save_states)
 from twrelay.channel import DETERMINISTIC
 
 
@@ -215,3 +216,14 @@ def test_save_writes_what_the_csv_module_writes(tmp_path):
     assert path.read_bytes() == want.read_bytes()
     save_states(list(states), path)
     assert path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: States([[1.0]], [[1.0]], [[1.0]], [[1.0]]), "one-dimensional"),
+    (lambda: FadingModel(kind="nakagami"), "unknown fading kind"),
+    (lambda: FadingModel(kind=DETERMINISTIC), "non-empty state list"),
+    (lambda: sample_states(0, 1), "n >= 1"),
+], ids=["2d-columns", "unknown-kind", "empty-deterministic", "no-states"])
+def test_channel_inputs_that_describe_no_draw_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

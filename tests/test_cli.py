@@ -490,3 +490,22 @@ def test_solve_builds_no_per_state_objects(tmp_path, monkeypatch):
     assert main(["solve", "--states", str(path), "--lambda", "1.0", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["per_state"]) == 2000
     assert built == {ChannelState: 0, StateAllocation: 0}
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("[0.5]", [], "config error: config root must be an object"),
+    ('{"fading": 5}', [], "config error: config field 'fading' must be an object"),
+    ('{"fading": {"kind": "nakagami"}}', [], "config error: config field 'fading.kind'"),
+    ('{"fading": {"kind": "deterministic"}}', [], "error: deterministic fading needs"),
+    (None, ["--lambda", "abc"], "config error: --lambda expects numbers"),
+    (None, ["--lambda", ","], "config error: --lambda expects at least one value"),
+], ids=["root-list", "fading-number", "fading-kind", "deterministic-no-path",
+        "lambda-text", "lambda-empty"])
+def test_config_errors_exit_2_with_one_line(config, argv, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "exp.json"
+        path.write_text(config)
+        argv = ["--config", str(path), *argv]
+    assert main(["sweep", "--n-states", "3", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"twrelay: {message}") and err.count("\n") == 1

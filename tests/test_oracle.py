@@ -240,6 +240,36 @@ def test_bad_grid_spec_rejected():
         GridSpec(rate_floor=0.5, rate_knee=0.1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: brute_force_fixed_modes([], [], 0.5), "at least one channel state"),
+    (lambda: brute_force_fixed_modes([UNIT], [Mode.PNC] * 2, 0.5), "1 states but 2 modes"),
+    (lambda: brute_force_fixed_modes([UNIT], [Mode.PNC], math.nan), "nonnegative and finite"),
+    # a float count answered on a grid of k/4.5, or raised TypeError deep inside
+    (lambda: GridSpec(n_f=3.5), "n_f must be an integer"),
+    (lambda: GridSpec(n_lin=2.0), "n_lin must be an integer"),
+    (lambda: GridSpec(refine_rounds=1.5), "refine_rounds must be an integer"),
+    (lambda: GridSpec(refine_span=True), "refine_span must be an integer"),
+    # an infinite bound warned "invalid value" inside the search
+    (lambda: GridSpec(rate_cap=math.inf), "rate_cap"),
+    (lambda: GridSpec(refine_step=math.inf), "step schedule"),
+    (lambda: GridSpec(refine_rounds=-1), "refinement lattice"),
+    (lambda: GridSpec(refine_span=0), "refinement lattice"),
+    (lambda: GridSpec(refine_step=0.0), "step schedule"),
+    (lambda: GridSpec(refine_shrink=1.0), "step schedule"),
+    (lambda: midpoint_convexity_probe(lambda t, f: t, (0.0, 1.0), (0.1, 0.9), 0, 1),
+     "at least one sample"),
+    (lambda: midpoint_convexity_probe(lambda t, f: t, (1.0, 0.0), (0.1, 0.9), 10, 1),
+     "bad probe box"),
+    (lambda: midpoint_convexity_probe(lambda t, f: t, (0.0, 1.0), (0.0, 0.9), 10, 1),
+     "bad probe box"),
+], ids=["no-states", "mode-count", "nan-target", "float-n_f", "float-n_lin",
+        "float-rounds", "bool-span", "inf-rate_cap", "inf-step", "negative-rounds",
+        "zero-span", "zero-step", "shrink-one", "no-samples", "reversed-t", "zero-f"])
+def test_oracle_inputs_that_describe_no_search_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_perspective_energies_pass_the_midpoint_probe():
     state = ChannelState(1.3, 0.7, 0.9, 1.8)
     fns = [

@@ -14,6 +14,7 @@ from twrelay import (
     pnc_uplink_rate,
     pnc_uplink_sum_power,
     prefer_pnc,
+    sample_states,
 )
 
 UNIT = ChannelState(1.0, 1.0, 1.0, 1.0)
@@ -200,3 +201,16 @@ def test_prefer_pnc_returns_a_bool_for_a_scalar_and_checks_every_rate():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             prefer_pnc(np.array([1.5, bad]), states)
+
+
+@pytest.mark.parametrize("call, message", [
+    # three rates for one state were broadcast into three decisions
+    (lambda: prefer_pnc(np.array([1.5, 2.0, 0.5]), sample_states(1, 0)), "shape"),
+    # one rate for three states gave an array where a bool is promised
+    (lambda: prefer_pnc(1.5, sample_states(3, 0)), "shape"),
+    (lambda: pnc_uplink_rate(math.nan), "nonnegative and finite"),  # answered 0.0
+    (lambda: pnc_uplink_rate(math.inf), "nonnegative and finite"),  # answered inf
+], ids=["rates-for-one-state", "one-rate-for-states", "snr-nan", "snr-inf"])
+def test_inputs_the_formulas_cannot_answer_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -177,3 +177,16 @@ def test_a_strategy_that_is_not_a_mode_is_refused(call):
     # here, 14.8396, against 10.9211 for PNC
     with pytest.raises(ValueError, match="got 'pnc'"):
         call(sample_states(20, 3))
+
+
+def test_a_reselection_whose_resolve_costs_more_is_rejected(monkeypatch):
+    # inverted choices make the re-solve dearer (15.17 against 14.84 here);
+    # the loop must keep the first allocation and stop
+    from twrelay import ratepower, switching
+
+    monkeypatch.setattr(switching, "prefer_pnc", lambda r, s: ~ratepower.prefer_pnc(r, s))
+    states = sample_states(20, 3)
+    rep = solve_switching(states, 1.0)
+    assert len(rep.energy_trace) == 1
+    assert rep.converged and rep.iterations == 1
+    assert rep.final == solve_baseline(states, 1.0, Mode.SPCDNC)
